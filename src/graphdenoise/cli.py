@@ -1,10 +1,11 @@
 """Command-line entry point: synth | noise | train | eval | denoise | report |
 check-submodular.
 
-Every subcommand takes --seed, --out-dir and optionally --config (a JSON
-file of training-config overrides; built-in defaults < config file <
-explicit flags). All outputs are deterministic given the seed. Exit codes:
-0 success, 1 validation error, 2 runtime failure.
+Every subcommand takes --seed and --out-dir; train also takes --config (a
+JSON file of training-config overrides; built-in defaults < config file <
+explicit flags, and a key that names no config field is a validation
+error). All outputs are deterministic given the seed. Exit codes: 0
+success, 1 validation error, 2 runtime failure.
 """
 
 from __future__ import annotations
@@ -25,8 +26,6 @@ from .seeding import spawn_rng
 def _add_common(p):
     p.add_argument("--seed", type=int, default=None, help="root random seed (config default 0)")
     p.add_argument("--out-dir", default=".", help="directory for output artifacts")
-    p.add_argument("--config", default=None, help="JSON file of training-config overrides")
-    p.add_argument("--threads", type=int, default=None, help="worker threads (config default 1)")
 
 
 def _add_graph_input(p):
@@ -74,6 +73,7 @@ def build_parser():
     p.add_argument("--fc-mode", choices=["soft", "hard"], default=None, help="per-node task score mode (config default soft)")
     p.add_argument("--select-all", action="store_true",
                    help="baseline: keep every neighbor, skip policy learning")
+    p.add_argument("--config", default=None, help="JSON file of training-config overrides")
     _add_common(p)
 
     p = add_parser("eval", "score a checkpoint on a mask")
@@ -124,19 +124,18 @@ def _build_config(args):
         "embed_dim": "embed_dim",
         "fc_mode": "fc_mode",
         "seed": "seed",
-        "threads": "threads",
     }
     for flag, key in flag_map.items():
-        value = getattr(args, flag, None)
+        value = getattr(args, flag)
         if value is not None:
             base[key] = value
     ppo = dict(base.get("ppo", {}))
-    if getattr(args, "gamma", None) is not None:
+    if args.gamma is not None:
         ppo["gamma"] = args.gamma
-    if getattr(args, "delta", None) is not None:
+    if args.delta is not None:
         ppo["delta"] = args.delta
     base["ppo"] = ppo
-    if getattr(args, "select_all", False):
+    if args.select_all:
         base["select_all"] = True
     return trainer.TrainConfig.from_dict(base)
 

@@ -44,33 +44,45 @@ class Trajectory:
     terminated_by: str
 
 
+def marginal_reward(score, total):
+    """Reward for accepting a neighbor with task score `score` when the
+    selected set's scores, that neighbor's included, sum to `total`; 0 if
+    the total underflows."""
+    return 0.0 if total < _DENOM_GUARD else score / total
+
+
 @dataclass
 class EpisodeState:
     """Mutable bookkeeping for one node's selection episode."""
 
     target: int
     selected: list  # accepted neighbor ids, in acceptance order
-    candidates: list  # not-yet-decided candidate ids; END (if present) is last
+    candidates: list  # not-yet-decided candidate ids; END is last
     h_v: np.ndarray  # current embedding of the target
     current_candidate: int | None = None
     s: np.ndarray | None = None  # state vector for the pending candidate
     cand_embed: dict = field(default_factory=dict)  # candidate id -> h_u
-    f_values: dict = field(default_factory=dict)  # candidate id -> cached f_c
+    score_total: float = 0.0  # summed task scores of the selected set
+
+    def accept(self, graph, agg, u):
+        """Add u to the selected set and re-embed the target from it."""
+        self.selected.append(u)
+        self.h_v = rep.aggregate(agg, graph.features[self.target],
+                                 graph.features[self.selected])
 
 
-def init_episode(graph, v, agg, include_end=True):
-    """Fresh episode: nothing selected, all neighbors (plus END) pending."""
+def init_episode(graph, v, agg):
+    """Fresh episode: nothing selected, all neighbors plus END pending."""
     if not 0 <= v < graph.num_nodes:
         raise ValueError(f"node {v} outside [0, {graph.num_nodes})")
     neighbors = [int(u) for u in graph.adjacency[v]]
-    candidates = neighbors + [END] if include_end else list(neighbors)
     cand_embed = {}
     if neighbors:
         embeds = rep.embed_means(agg, graph.features[np.asarray(neighbors)])
         cand_embed = {u: embeds[i] for i, u in enumerate(neighbors)}
-    if include_end:
-        # the ending candidate carries an all-zero feature vector
-        cand_embed[END] = rep.aggregate(agg, np.zeros(graph.feature_dim), [])
+    # the ending candidate carries an all-zero feature vector
+    cand_embed[END] = rep.aggregate(agg, np.zeros(graph.feature_dim), [])
+    candidates = neighbors + [END]
     h_v = rep.aggregate(agg, graph.features[v], [])
     return EpisodeState(target=int(v), selected=[], candidates=candidates,
                         h_v=h_v, cand_embed=cand_embed)
@@ -115,22 +127,13 @@ def advance_to_candidate(state, u):
     state.s = np.concatenate([state.h_v, state.cand_embed[u]])
 
 
-def _f_value(state, graph, agg, clf, u, fc_mode):
-    if u not in state.f_values:
-        state.f_values[u] = rep.f_c_score(
-            clf, agg, graph.features[state.target], [graph.features[u]],
-            graph.labels[state.target], mode=fc_mode)
-    return state.f_values[u]
-
-
 def step(graph, state, action, agg, clf, fc_mode="soft"):
     """Apply the accept/reject decision for the staged candidate.
 
-    Accepting adds the candidate to the selected set, pays the
-    marginal-value reward (per-neighbor score over the summed scores of the
-    post-acceptance selected set, 0 if that sum underflows), and refreshes
-    h_v from the full selected set. Rejecting pays 0 and leaves h_v alone.
-    Mutates state; returns (state, reward).
+    Accepting scores the candidate once, adds it to the selected set and
+    pays marginal_reward of that score against the selected set's running
+    score total. Rejecting pays 0 and leaves h_v alone. Mutates state;
+    returns (state, reward).
     """
     if state.current_candidate is None:
         raise ValueError("no staged candidate: episode finished or none drawn")
@@ -140,24 +143,20 @@ def step(graph, state, action, agg, clf, fc_mode="soft"):
     state.current_candidate = None
     if action == 0:
         return state, 0.0
-    state.selected.append(u)
-    numer = _f_value(state, graph, agg, clf, u, fc_mode)
-    denom = sum(_f_value(state, graph, agg, clf, w, fc_mode) for w in state.selected)
-    reward = 0.0 if denom < _DENOM_GUARD else numer / denom
-    state.h_v = rep.aggregate(agg, graph.features[state.target],
-                              [graph.features[w] for w in state.selected])
-    return state, reward
+    score = rep.f_c_score(clf, agg, graph.features[state.target], [graph.features[u]],
+                          graph.labels[state.target], mode=fc_mode)
+    state.score_total += score
+    state.accept(graph, agg, u)
+    return state, marginal_reward(score, state.score_total)
 
 
-def rollout(graph, v, policy, agg, clf, rng, max_steps=None, fc_mode="soft",
-            include_end=True, forced_action=None):
+def rollout(graph, v, policy, agg, clf, rng, max_steps=None, fc_mode="soft"):
     """Run one full episode for node v under the (frozen) parameters.
 
     Stops when the ending candidate is drawn, the real candidates are
-    exhausted, or max_steps decisions have been made. forced_action pins
-    every decision (used by select-all / select-none baselines and tests).
+    exhausted, or max_steps decisions have been made.
     """
-    state = init_episode(graph, v, agg, include_end=include_end)
+    state = init_episode(graph, v, agg)
     if max_steps is None:
         max_steps = len(graph.adjacency[v]) + 1
     if max_steps < 1:
@@ -176,12 +175,7 @@ def rollout(graph, v, policy, agg, clf, rng, max_steps=None, fc_mode="soft",
             break
         # shared weights make pi(1|s) the sigmoid of the priority score
         prob = float(nn.sigmoid(np.array([score_u]))[0])
-        if forced_action is None:
-            action, log_prob = policy_mod.sample_action(prob, rng)
-        else:
-            action = int(forced_action)
-            p = float(policy_mod.clamp_prob(prob))
-            log_prob = float(np.log(p if action == 1 else 1.0 - p))
+        action, log_prob = policy_mod.sample_action(prob, rng)
         s_t = state.s.copy()
         _, reward = step(graph, state, action, agg, clf, fc_mode=fc_mode)
         transitions.append(Transition(state=s_t, action=action, reward=reward,

@@ -320,7 +320,12 @@ def inject_edge_noise(g, spec):
     """Add round(rate * |E|) edges between non-adjacent, differently-labeled nodes.
 
     Original edges, features, labels and masks are untouched. Deterministic
-    from spec.seed. Quadratic pair enumeration; meant for desk-scale graphs.
+    from spec.seed. Up to 3,000 nodes the edges are drawn without
+    replacement from all free cross-class pairs (an n x n matrix); above
+    that, random pairs are redrawn until cross-class and free, with no
+    quadratic memory. Both paths stay: they draw different edges from one
+    seed, the first defines every seeded test and benchmark input, and only
+    the second fits large graphs.
     """
     k = int(round(spec.edge_noise_rate * g.num_edges))
     if k == 0:

@@ -114,16 +114,12 @@ class PPOConfig:
     update_epochs: int = 4
     minibatch_size: int = 64
     lr: float = 1e-3
-    surrogate: str = "kl_penalty"  # hook for a future clipped variant
 
     def __post_init__(self):
         if not 0.0 <= self.gamma <= 1.0:
             raise ValueError(f"gamma must be in [0, 1], got {self.gamma}")
         if self.delta <= 0:
             raise ValueError(f"delta must be positive, got {self.delta}")
-        if self.surrogate != "kl_penalty":
-            raise ValueError(f"only the kl_penalty surrogate is implemented, "
-                             f"got {self.surrogate!r}")
 
 
 def surrogate_and_grads(policy, states, actions, behavior_logp, returns, p_old, kl_coeff):

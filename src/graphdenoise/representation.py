@@ -72,15 +72,17 @@ def _act_grad(agg, z, h):
 
 
 def mean_with_self(x, neighbor_features):
-    """Mean of the node's own features and its neighbors'; self-only if none."""
+    """Mean of the node's own features and its neighbors'; self-only if none.
+
+    neighbor_features is an (m, D) array or a list of m length-D rows.
+    """
     x = np.asarray(x, dtype=np.float64)
-    rows = [np.asarray(f, dtype=np.float64) for f in neighbor_features]
-    for r in rows:
-        if r.shape != x.shape:
-            raise ValueError(f"neighbor feature shape {r.shape} != {x.shape}")
-    if not rows:
+    rows = np.asarray(neighbor_features, dtype=np.float64)
+    if len(rows) == 0:
         return x.copy()
-    return np.vstack([x] + rows).mean(axis=0)
+    if rows.shape[1:] != x.shape:
+        raise ValueError(f"neighbor feature shape {rows.shape[1:]} != {x.shape}")
+    return np.vstack([x, rows]).mean(axis=0)
 
 
 def aggregate(agg, x, neighbor_features):
@@ -180,11 +182,8 @@ def node_mean_vectors(graph, node_ids, neighbor_sets):
     """Stack mean_with_self for each node given its selected neighbor ids."""
     means = np.empty((len(node_ids), graph.feature_dim))
     for i, v in enumerate(node_ids):
-        sel = neighbor_sets[v]
-        if len(sel):
-            means[i] = np.vstack([graph.features[v], graph.features[np.asarray(sel)]]).mean(axis=0)
-        else:
-            means[i] = graph.features[v]
+        means[i] = mean_with_self(graph.features[v],
+                                  graph.features[np.asarray(neighbor_sets[v], dtype=np.int64)])
     return means
 
 

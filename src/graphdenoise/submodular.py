@@ -25,10 +25,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import env
 from . import representation as rep
 
 _TOL = 1e-9
-_DENOM_GUARD = 1e-12
 
 
 class SetFunction:
@@ -121,13 +121,12 @@ class SelectionRewardFunction(SetFunction):
 
     def order_value(self, sequence):
         """Accumulated reward of accepting the given ids in the given order."""
-        total = 0.0
+        rewards = []
         acc = 0.0
         for u in sequence:
             acc += self.values[u]
-            if acc >= _DENOM_GUARD:
-                total += self.values[u] / acc
-        return total
+            rewards.append(env.marginal_reward(self.values[u], acc))
+        return sum(rewards)
 
     def evaluate(self, subset):
         return self.order_value(sorted(subset))
@@ -138,8 +137,8 @@ class SelectionRewardFunction(SetFunction):
         subset = frozenset(subset)
         if item in subset:
             raise ValueError(f"item {item} already selected")
-        denom = sum(self.values[u] for u in subset) + self.values[item]
-        return 0.0 if denom < _DENOM_GUARD else self.values[item] / denom
+        total = sum(self.values[u] for u in subset) + self.values[item]
+        return env.marginal_reward(self.values[item], total)
 
     def order_spread(self, subset, rng, permutations=20):
         """Max minus min accumulated reward over sampled insertion orders.

@@ -13,8 +13,7 @@ candidate), so it is deterministic and works for nodes unseen in training.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -47,11 +46,10 @@ class TrainConfig:
     max_steps: int | None = None  # per-episode decision cap; None = degree + 1
     select_all: bool = False
     seed: int = 0
-    threads: int = 1
 
     def __post_init__(self):
         for name in ("outer_iters", "rep_epochs", "batch_size", "embed_dim",
-                     "rollouts_per_node", "threads"):
+                     "rollouts_per_node"):
             if getattr(self, name) < (0 if name == "outer_iters" else 1):
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
 
@@ -62,9 +60,17 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, d):
+        """Inverse of to_dict; a key that names no field is a ValueError."""
         d = dict(d)
-        if "ppo" in d and isinstance(d["ppo"], dict):
-            d["ppo"] = PPOConfig(**d["ppo"])
+        ppo = d.get("ppo")
+        unknown = sorted(set(d) - {f.name for f in fields(cls)})
+        if isinstance(ppo, dict):
+            ppo_fields = {f.name for f in fields(PPOConfig)}
+            unknown += [f"ppo.{k}" for k in sorted(set(ppo) - ppo_fields)]
+        if unknown:
+            raise ValueError(f"unknown config keys: {', '.join(unknown)}")
+        if isinstance(ppo, dict):
+            d["ppo"] = PPOConfig(**ppo)
         if "policy_hidden" in d:
             d["policy_hidden"] = tuple(d["policy_hidden"])
         return cls(**d)
@@ -106,13 +112,6 @@ def init_params(graph, cfg):
     return policy, agg, clf
 
 
-def _map_nodes(fn, nodes, threads):
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, nodes))
-    return [fn(v) for v in nodes]
-
-
 def train(graph, cfg):
     """Run the alternating optimization; returns best-validation parameters.
 
@@ -137,13 +136,12 @@ def train(graph, cfg):
         if cfg.select_all:
             selected = {int(v): graph.adjacency[v] for v in train_ids}
         else:
-            def decode(v, _it=it):
+            selected = {}
+            for v in train_ids:
                 traj = env.rollout(graph, int(v), policy, agg, clf,
-                                   spawn_rng(cfg.seed, _K_SELECT, _it, v),
+                                   spawn_rng(cfg.seed, _K_SELECT, it, v),
                                    max_steps=cfg.max_steps, fc_mode=cfg.fc_mode)
-                return [t.candidate for t in traj.transitions if t.action == 1]
-            sets = _map_nodes(decode, train_ids, cfg.threads)
-            selected = {int(v): s for v, s in zip(train_ids, sets)}
+                selected[int(v)] = [t.candidate for t in traj.transitions if t.action == 1]
         agg, clf, losses = rep.train_representation(
             agg, clf, graph, selected, cfg.rep_epochs, cfg.batch_size,
             cfg.rep_lr, spawn_rng(cfg.seed, _K_REP, it))
@@ -152,14 +150,11 @@ def train(graph, cfg):
         diag = {"mean_kl": 0.0, "mean_return": 0.0, "objective": 0.0}
         if not cfg.select_all:
             old = policy.copy()
-
-            def collect(args, _it=it):
-                v, r = args
-                return env.rollout(graph, int(v), old, agg, clf,
-                                   spawn_rng(cfg.seed, _K_COLLECT, _it, v, r),
-                                   max_steps=cfg.max_steps, fc_mode=cfg.fc_mode)
-            jobs = [(v, r) for v in train_ids for r in range(cfg.rollouts_per_node)]
-            trajectories = _map_nodes(collect, jobs, cfg.threads)
+            trajectories = [
+                env.rollout(graph, int(v), old, agg, clf,
+                            spawn_rng(cfg.seed, _K_COLLECT, it, v, r),
+                            max_steps=cfg.max_steps, fc_mode=cfg.fc_mode)
+                for v in train_ids for r in range(cfg.rollouts_per_node)]
             trajectories = [t for t in trajectories if t.transitions]
             if trajectories:
                 policy, diag = policy_mod.ppo_update(
@@ -191,7 +186,6 @@ def greedy_select(graph, v, policy, agg):
     val/test nodes.
     """
     state = env.init_episode(graph, v, agg)
-    selected = []
     while any(u != env.END for u in state.candidates):
         scores = env.regret_scores(state, policy)
         idx = int(np.argmax(scores))
@@ -200,21 +194,18 @@ def greedy_select(graph, v, policy, agg):
             break
         state.candidates.remove(u)
         if nn.sigmoid(np.array([scores[idx]]))[0] >= 0.5:
-            selected.append(u)
-            state.h_v = rep.aggregate(agg, graph.features[v],
-                                      [graph.features[w] for w in selected])
-    return selected
+            state.accept(graph, agg, u)
+    return state.selected
 
 
-def _decoded_sets(graph, policy, agg, selection, nodes, threads=1):
+def _decoded_sets(graph, policy, agg, selection, nodes):
     if selection not in SELECTION_MODES:
         raise ValueError(f"selection must be one of {SELECTION_MODES}")
     if selection == "all":
         return {int(v): list(graph.adjacency[v]) for v in nodes}
     if selection == "none":
         return {int(v): [] for v in nodes}
-    sets = _map_nodes(lambda v: greedy_select(graph, int(v), policy, agg), nodes, threads)
-    return {int(v): s for v, s in zip(nodes, sets)}
+    return {int(v): greedy_select(graph, int(v), policy, agg) for v in nodes}
 
 
 def predict(policy, agg, clf, graph, nodes, selection="policy"):

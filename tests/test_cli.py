@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from graphdenoise import trainer
-from graphdenoise.cli import run
+from graphdenoise.cli import build_parser, run
 from graphdenoise.graph import load_graph
 
 
@@ -157,6 +157,21 @@ def test_config_file_overrides_defaults_but_not_flags(tmp_path):
     _, _, _, config = trainer.load_checkpoint(out / "checkpoint.json")
     assert config["outer_iters"] == 1  # from file
     assert config["rep_epochs"] == 4  # flag wins over file
+
+
+def test_unknown_config_key_is_validation_error(tmp_path, capsys):
+    assert run(synth_args(tmp_path)) == 0
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"threads": 2}))
+    assert run(["train", "--graph", str(tmp_path / "graph.json"),
+                "--config", str(cfg_path), "--out-dir", str(tmp_path / "run")]) == 1
+    assert "threads" in capsys.readouterr().err
+
+
+def test_config_is_a_train_only_option():
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["eval", "--graph", "g.json", "--checkpoint", "c.json",
+                                   "--config", "cfg.json"])
 
 
 def test_train_select_all_flag(tmp_path):

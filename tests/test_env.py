@@ -178,16 +178,6 @@ def test_rollout_isolated_node_is_empty_and_exhausted():
     assert traj.terminated_by == env.TERMINATED_EXHAUSTED
 
 
-def test_rollout_forced_select_all_without_end_selects_neighborhood():
-    g, agg, clf, policy = make_setup(seed=9)
-    v = max(range(g.num_nodes), key=g.degree)
-    traj = env.rollout(g, v, policy, agg, clf, np.random.default_rng(3),
-                       include_end=False, forced_action=1)
-    assert sorted(t.candidate for t in traj.transitions) == list(g.neighbors(v))
-    assert all(t.action == 1 for t in traj.transitions)
-    assert traj.terminated_by == env.TERMINATED_EXHAUSTED
-
-
 def test_rollout_invariants_hold_on_random_episodes():
     g, agg, clf, policy = make_setup(seed=10)
     rng = np.random.default_rng(4)
@@ -204,11 +194,18 @@ def test_rollout_invariants_hold_on_random_episodes():
 
 
 def test_rollout_respects_max_steps():
+    # a capped episode is the uncapped one, with the same stream, cut short
     g, agg, clf, policy = make_setup(seed=11)
     v = max(range(g.num_nodes), key=g.degree)
-    traj = env.rollout(g, v, policy, agg, clf, np.random.default_rng(0),
-                       max_steps=2, forced_action=1, include_end=False)
-    assert len(traj.transitions) == 2
+    longest = 0
+    for seed in range(10):
+        full = env.rollout(g, v, policy, agg, clf, np.random.default_rng(seed))
+        capped = env.rollout(g, v, policy, agg, clf, np.random.default_rng(seed),
+                             max_steps=2)
+        assert ([(t.candidate, t.action, t.reward) for t in capped.transitions]
+                == [(t.candidate, t.action, t.reward) for t in full.transitions[:2]])
+        longest = max(longest, len(full.transitions))
+    assert longest > 2  # the cap cut at least one episode
     with pytest.raises(ValueError):
         env.rollout(g, v, policy, agg, clf, np.random.default_rng(0), max_steps=0)
 

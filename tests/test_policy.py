@@ -243,5 +243,3 @@ def test_ppo_config_validation():
         PPOConfig(gamma=1.5)
     with pytest.raises(ValueError):
         PPOConfig(delta=0.0)
-    with pytest.raises(ValueError):
-        PPOConfig(surrogate="clip")  # hook exists, only kl_penalty implemented

@@ -175,13 +175,15 @@ def test_reward_marginal_equals_environment_step_reward():
         perm = rng.permutation(len(f.ground))
         take = [f.ground[i] for i in perm[: rng.integers(1, len(f.ground) + 1)]]
         state = env.init_episode(g, v, agg)
-        accumulated = []
+        accumulated, rewards = [], []
         for u in take:
             expected = f.marginal(u, frozenset(accumulated))
             env.advance_to_candidate(state, u)
             _, reward = env.step(g, state, 1, agg, clf)
             assert abs(reward - expected) < 1e-9
             accumulated.append(u)
+            rewards.append(reward)
+        assert sum(rewards) == f.order_value(take)
 
 
 def test_reward_evaluate_matches_appended_marginal():

@@ -64,14 +64,6 @@ def test_train_is_deterministic_given_seed():
     assert a.history == b.history
 
 
-def test_threads_do_not_change_results():
-    g = small_graph()
-    a = trainer.train(g, small_config(seed=3, threads=1))
-    b = trainer.train(g, small_config(seed=3, threads=2))
-    assert params_equal(a, b)
-    assert a.history == b.history
-
-
 def test_best_validation_checkpoint_is_returned():
     g = small_graph(seed=2)
     result = trainer.train(g, small_config(outer_iters=4, seed=1))
@@ -244,6 +236,14 @@ def test_config_round_trip():
     again = TrainConfig.from_dict(cfg.to_dict())
     assert again.to_dict() == cfg.to_dict()
     assert isinstance(again.ppo, PPOConfig)
+
+
+def test_config_unknown_keys_are_named():
+    d = small_config().to_dict()
+    d["bogus"] = 3
+    d["ppo"]["surrogate"] = "clip"
+    with pytest.raises(ValueError, match="bogus, ppo.surrogate"):
+        TrainConfig.from_dict(d)
 
 
 def test_config_validation():
