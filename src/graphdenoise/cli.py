@@ -11,6 +11,7 @@ success, 1 validation error, 2 runtime failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -80,19 +81,19 @@ def build_parser():
     _add_graph_input(p)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--mask", choices=["val", "test"], default="test", help="which mask to score")
-    p.add_argument("--selection", choices=["policy", "all", "none"], default="policy")
+    p.add_argument("--selection", choices=trainer.SELECTION_MODES, default="policy")
     _add_common(p)
 
     p = add_parser("denoise", "export the kept-edge graph")
     _add_graph_input(p)
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--selection", choices=["policy", "all", "none"], default="policy")
+    p.add_argument("--selection", choices=trainer.SELECTION_MODES, default="policy")
     _add_common(p)
 
     p = add_parser("report", "selected-neighbor fraction distribution")
     _add_graph_input(p)
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--selection", choices=["policy", "all", "none"], default="policy")
+    p.add_argument("--selection", choices=trainer.SELECTION_MODES, default="policy")
     _add_common(p)
 
     p = add_parser("check-submodular", "run the reward-property suites")
@@ -116,7 +117,10 @@ def _build_config(args):
     base = trainer.TrainConfig().to_dict()
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
-            base.update(json.load(fh))
+            overrides = json.load(fh)
+        if not isinstance(overrides, dict):
+            raise ValueError(f"--config must hold a JSON object, got {type(overrides).__name__}")
+        base.update(overrides)
     flag_map = {
         "iters": "outer_iters",
         "rep_epochs": "rep_epochs",
@@ -129,15 +133,12 @@ def _build_config(args):
         value = getattr(args, flag)
         if value is not None:
             base[key] = value
-    ppo = dict(base.get("ppo", {}))
-    if args.gamma is not None:
-        ppo["gamma"] = args.gamma
-    if args.delta is not None:
-        ppo["delta"] = args.delta
-    base["ppo"] = ppo
     if args.select_all:
         base["select_all"] = True
-    return trainer.TrainConfig.from_dict(base)
+    cfg = trainer.TrainConfig.from_dict(base)
+    ppo_flags = {k: getattr(args, k) for k in ("gamma", "delta") if getattr(args, k) is not None}
+    cfg.ppo = dataclasses.replace(cfg.ppo, **ppo_flags)
+    return cfg
 
 
 def _write_json(path, obj):

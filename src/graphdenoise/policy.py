@@ -42,20 +42,9 @@ def init_policy(state_dim, hidden=(64, 36), rng=None):
     return PolicyParams(nn.init_mlp(sizes, rng))
 
 
-def policy_score(policy, s):
-    """Raw pre-sigmoid scalar for one state; the candidate priority score."""
-    out, _ = nn.mlp_forward(policy.mlp, s, head="linear")
-    return float(out[0])
-
-
 def policy_scores_batch(policy, states):
     out, _ = nn.mlp_forward_batch(policy.mlp, states, head="linear")
     return out[:, 0]
-
-
-def policy_forward(policy, s):
-    """Probability of selecting (action 1) in state s; strictly inside (0, 1)."""
-    return float(nn.sigmoid(np.array([policy_score(policy, s)]))[0])
 
 
 def policy_forward_batch(policy, states):
@@ -94,14 +83,10 @@ def discounted_returns(rewards, gamma):
 
 
 def kl_bernoulli(p_old, p_new):
-    """KL(Bernoulli(p_old) || Bernoulli(p_new)); callers clamp away 0 and 1."""
-    if not (0.0 < p_old < 1.0 and 0.0 < p_new < 1.0):
-        raise ValueError("kl_bernoulli needs probabilities strictly inside (0, 1)")
-    return (p_old * math.log(p_old / p_new)
-            + (1.0 - p_old) * math.log((1.0 - p_old) / (1.0 - p_new)))
-
-
-def _kl_bernoulli_vec(p_old, p_new):
+    """Elementwise KL(Bernoulli(p_old) || Bernoulli(p_new)); callers clamp away 0 and 1."""
+    for p in (p_old, p_new):
+        if not np.all((0.0 < p) & (p < 1.0)):
+            raise ValueError("kl_bernoulli needs probabilities strictly inside (0, 1)")
     return (p_old * np.log(p_old / p_new)
             + (1.0 - p_old) * np.log((1.0 - p_old) / (1.0 - p_new)))
 
@@ -120,6 +105,10 @@ class PPOConfig:
             raise ValueError(f"gamma must be in [0, 1], got {self.gamma}")
         if self.delta <= 0:
             raise ValueError(f"delta must be positive, got {self.delta}")
+        if self.update_epochs < 0:
+            raise ValueError(f"update_epochs must be >= 0, got {self.update_epochs}")
+        if self.minibatch_size < 1:
+            raise ValueError(f"minibatch_size must be >= 1, got {self.minibatch_size}")
 
 
 def surrogate_and_grads(policy, states, actions, behavior_logp, returns, p_old, kl_coeff):
@@ -141,7 +130,7 @@ def surrogate_and_grads(policy, states, actions, behavior_logp, returns, p_old, 
     p = clamp_prob(nn.sigmoid(scores[:, 0]))
     logp = np.where(actions == 1.0, np.log(p), np.log(1.0 - p))
     ratio = np.exp(logp - behavior_logp)
-    kl = _kl_bernoulli_vec(p_old, p)
+    kl = kl_bernoulli(p_old, p)
     objective = float(np.mean(ratio * returns) - kl_coeff * np.mean(kl))
     if not math.isfinite(objective):
         raise ValueError("non-finite PPO objective")
@@ -204,7 +193,7 @@ def ppo_update(policy, old_policy, trajectories, cfg, rng=None):
 
     def mean_kl():
         p_new = clamp_prob(policy_forward_batch(work, states))
-        return float(np.mean(_kl_bernoulli_vec(p_old, p_new)))
+        return float(np.mean(kl_bernoulli(p_old, p_new)))
 
     for _ in range(int(cfg.update_epochs)):
         snap_weights = [w.copy() for w in work.mlp.weights]

@@ -224,11 +224,3 @@ def train_representation(agg, clf, graph, selected_sets, epochs, batch_size=256,
         history.append(total / train_ids.size)
     return agg, clf, history
 
-
-def write_embeddings(path, node_ids, embeddings):
-    """Tab-separated export: node id then the embedding values, one node per line."""
-    embeddings = np.asarray(embeddings, dtype=np.float64)
-    with open(path, "w", encoding="utf-8") as fh:
-        for v, row in zip(node_ids, embeddings):
-            fh.write("\t".join([str(int(v))] + [repr(float(x)) for x in row]))
-            fh.write("\n")

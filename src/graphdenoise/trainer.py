@@ -69,10 +69,16 @@ class TrainConfig:
             unknown += [f"ppo.{k}" for k in sorted(set(ppo) - ppo_fields)]
         if unknown:
             raise ValueError(f"unknown config keys: {', '.join(unknown)}")
+        if "ppo" in d and not isinstance(ppo, (dict, PPOConfig)):
+            raise ValueError(f"config key ppo must be an object, got {type(ppo).__name__}")
         if isinstance(ppo, dict):
             d["ppo"] = PPOConfig(**ppo)
         if "policy_hidden" in d:
-            d["policy_hidden"] = tuple(d["policy_hidden"])
+            hidden = d["policy_hidden"]
+            if not isinstance(hidden, (list, tuple)):
+                raise ValueError("config key policy_hidden must be a list of layer sizes, "
+                                 f"got {type(hidden).__name__}")
+            d["policy_hidden"] = tuple(hidden)
         return cls(**d)
 
 
@@ -186,14 +192,13 @@ def greedy_select(graph, v, policy, agg):
     val/test nodes.
     """
     state = env.init_episode(graph, v, agg)
-    while any(u != env.END for u in state.candidates):
-        scores = env.regret_scores(state, policy)
-        idx = int(np.argmax(scores))
-        u = state.candidates[idx]
+    while len(state.candidates) > 1:
+        scores, _ = state.candidate_scores(policy)
+        i = int(np.argmax(scores))
+        u = state.take(i)
         if u == env.END:
             break
-        state.candidates.remove(u)
-        if nn.sigmoid(np.array([scores[idx]]))[0] >= 0.5:
+        if nn.sigmoid(np.array([scores[i]]))[0] >= 0.5:
             state.accept(graph, agg, u)
     return state.selected
 

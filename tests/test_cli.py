@@ -168,6 +168,21 @@ def test_unknown_config_key_is_validation_error(tmp_path, capsys):
     assert "threads" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("overrides, named", [
+    ([1, 2], "JSON object"),
+    ({"ppo": 3}, "ppo"),
+    ({"policy_hidden": 5}, "policy_hidden"),
+    ({"outer_iters": 0, "ppo": {"minibatch_size": -1}}, "minibatch_size"),
+])
+def test_config_shape_is_validation_error(tmp_path, capsys, overrides, named):
+    assert run(synth_args(tmp_path)) == 0
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(overrides))
+    assert run(["train", "--graph", str(tmp_path / "graph.json"),
+                "--config", str(cfg_path), "--out-dir", str(tmp_path / "run")]) == 1
+    assert named in capsys.readouterr().err
+
+
 def test_config_is_a_train_only_option():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["eval", "--graph", "g.json", "--checkpoint", "c.json",

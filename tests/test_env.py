@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from graphdenoise import env
+from graphdenoise import env, trainer
 from graphdenoise import nn
 from graphdenoise import policy as policy_mod
 from graphdenoise import representation as rep
@@ -44,9 +44,10 @@ def test_init_embedding_is_self_only_aggregate():
     g, agg, _, _ = make_setup()
     state = env.init_episode(g, 5, agg)
     assert np.allclose(state.h_v, rep.aggregate(agg, g.features[5], []))
-    for u in g.neighbors(5):
-        assert np.allclose(state.cand_embed[int(u)],
-                           rep.aggregate(agg, g.features[u], []))
+    assert state.cand_embed.shape == (len(state.candidates), 6)
+    for i, u in enumerate(state.candidates[:-1]):
+        assert np.allclose(state.cand_embed[i], rep.aggregate(agg, g.features[u], []))
+    assert np.array_equal(state.cand_embed[-1], rep.aggregate(agg, np.zeros(4), []))
 
 
 def test_init_rejects_bad_node():
@@ -55,11 +56,25 @@ def test_init_rejects_bad_node():
         env.init_episode(g, g.num_nodes, agg)
 
 
+def end_saturating_policy(embed, weight):
+    """Scores a candidate weight * relu(sum h_u): END (h_u = 0) scores 0, and a
+    neighbor with positive embedding scores far above (weight > 0) or below it."""
+    return policy_mod.PolicyParams(nn.MlpParams([
+        np.hstack([np.zeros((1, embed)), np.ones((1, embed))]), np.array([[weight]])]))
+
+
+def star_graph(neighbor_features):
+    """Node 0 joined to one node per row of neighbor_features (positive rows)."""
+    feats = np.vstack([[1.0, 0.0], neighbor_features])
+    n = feats.shape[0]
+    return build_graph(n, [(0, u) for u in range(1, n)], feats, [0] + [1] * (n - 1))
+
+
 def test_regret_scores_zero_weights_are_zero_and_softmax_uniform():
     g, agg, _, _ = make_setup()
     policy = policy_mod.PolicyParams(nn.MlpParams([np.zeros((4, 12)), np.zeros((1, 4))]))
     state = env.init_episode(g, 0, agg)
-    scores = env.regret_scores(state, policy)
+    scores, _ = state.candidate_scores(policy)
     assert np.all(scores == 0.0)
     assert np.allclose(nn.softmax(scores), 1.0 / len(state.candidates))
 
@@ -71,100 +86,116 @@ def test_regret_scores_identical_features_tie():
     agg = rep.init_aggregator(4, 2, rng)
     policy = policy_mod.init_policy(8, (6, 4), rng)
     state = env.init_episode(g, 0, agg)
-    scores = env.regret_scores(state, policy)
+    scores, _ = state.candidate_scores(policy)
     assert scores[0] == pytest.approx(scores[1], abs=1e-12)
 
 
 def test_regret_scores_match_per_candidate_forward():
     g, agg, _, policy = make_setup(seed=4)
     state = env.init_episode(g, 1, agg)
-    scores = env.regret_scores(state, policy)
-    for i, u in enumerate(state.candidates):
-        s = np.concatenate([state.h_v, state.cand_embed[u]])
-        assert scores[i] == pytest.approx(policy_mod.policy_score(policy, s), abs=1e-12)
+    scores, states = state.candidate_scores(policy)
+    for i in range(len(state.candidates)):
+        s = np.concatenate([state.h_v, state.cand_embed[i]])
+        assert np.array_equal(states[i], s)
+        out, _ = nn.mlp_forward(policy.mlp, s, head="linear")
+        assert scores[i] == pytest.approx(out[0], abs=1e-12)
+    # taking a candidate drops its id and its embedding row together
+    first = state.candidates[0]
+    assert state.take(0) == first
+    rest, _ = state.candidate_scores(policy)
+    assert first not in state.candidates
+    assert np.allclose(rest, scores[1:], atol=1e-12)
 
 
 def test_sample_next_candidate_single_candidate_always_picked():
-    rng = np.random.default_rng(0)
-    for _ in range(10):
-        assert env.sample_next_candidate([7], np.array([0.3]), rng) == 7
+    # a neighbor scoring far above END is drawn first on every stream
+    g = star_graph([[0.3, 0.7]])
+    agg = rep.AggregatorParams(np.eye(2))
+    clf = rep.init_classifier(2, 2, np.random.default_rng(0))
+    policy = end_saturating_policy(2, 50.0)
+    for seed in range(10):
+        traj = env.rollout(g, 0, policy, agg, clf, np.random.default_rng(seed))
+        assert [t.candidate for t in traj.transitions] == [1]
+        assert traj.terminated_by == env.TERMINATED_EXHAUSTED
 
 
 def test_sample_next_candidate_uniform_scores_are_fair():
+    # equal scores: the first draw is uniform over two neighbors and END
+    g = star_graph([[0.3, 0.7], [0.6, 0.4]])
+    agg = rep.AggregatorParams(np.eye(2))
+    clf = rep.init_classifier(2, 2, np.random.default_rng(0))
+    policy = policy_mod.PolicyParams(nn.MlpParams([np.zeros((3, 4)), np.zeros((1, 3))]))
     rng = np.random.default_rng(1)
-    picks = [env.sample_next_candidate([0, 1], np.zeros(2), rng) for _ in range(10000)]
-    freq = np.mean(np.array(picks) == 0)
-    assert abs(freq - 0.5) < 0.02
+    firsts = []
+    for _ in range(3000):
+        traj = env.rollout(g, 0, policy, agg, clf, rng)
+        firsts.append(traj.transitions[0].candidate if traj.transitions else env.END)
+    for u in (1, 2, env.END):
+        assert abs(np.mean(np.array(firsts) == u) - 1.0 / 3.0) < 0.03
 
 
 def test_sample_next_candidate_saturated_end_score():
+    g = star_graph([[0.3, 0.7], [0.6, 0.4], [0.5, 0.5]])
+    agg = rep.AggregatorParams(np.eye(2))
+    clf = rep.init_classifier(2, 2, np.random.default_rng(0))
+    policy = end_saturating_policy(2, -50.0)
     rng = np.random.default_rng(2)
-    scores = np.array([0.0, 0.0, 50.0])
-    picks = [env.sample_next_candidate([4, 9, env.END], scores, rng) for _ in range(1000)]
-    assert np.mean(np.array(picks) == env.END) > 0.99
+    trajs = [env.rollout(g, 0, policy, agg, clf, rng) for _ in range(200)]
+    ended = [not t.transitions and t.terminated_by == env.TERMINATED_ENDING for t in trajs]
+    assert np.mean(ended) > 0.99
+    assert trainer.greedy_select(g, 0, policy, agg) == []
 
 
 def test_sample_next_candidate_rejects_non_finite():
-    rng = np.random.default_rng(0)
-    with pytest.raises(ValueError):
-        env.sample_next_candidate([0, 1], np.array([np.inf, 0.0]), rng)
-    with pytest.raises(ValueError):
-        env.sample_next_candidate([], np.array([]), rng)
+    g, agg, clf, policy = make_setup(seed=3)
+    v = next(v for v in range(g.num_nodes) if g.degree(v) >= 1)
+    policy.mlp.weights[-1][:] = np.inf
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError):
+        env.rollout(g, v, policy, agg, clf, np.random.default_rng(0))
 
 
 def test_step_first_acceptance_reward_is_exactly_one():
-    g, agg, clf, _ = make_setup(seed=5)
-    v = next(v for v in range(g.num_nodes) if g.degree(v) >= 2)
-    state = env.init_episode(g, v, agg)
-    env.advance_to_candidate(state, int(g.neighbors(v)[0]))
-    _, reward = env.step(g, state, 1, agg, clf)
-    assert reward == 1.0
+    g, agg, clf, policy = make_setup(seed=5)
+    rng = np.random.default_rng(5)
+    accepted = 0
+    for v in range(g.num_nodes):
+        traj = env.rollout(g, v, policy, agg, clf, rng)
+        first = next((t for t in traj.transitions if t.action == 1), None)
+        if first is not None:
+            assert first.reward == 1.0
+            accepted += 1
+    assert accepted > 0
 
 
 def test_step_equal_scores_reward_is_one_over_count():
-    # three neighbors with identical features -> identical per-item scores
-    feats = np.array([[1.0, 0.0], [0.3, 0.7], [0.3, 0.7], [0.3, 0.7]])
-    g = build_graph(4, [(0, 1), (0, 2), (0, 3)], feats, [0, 1, 1, 1])
-    rng = np.random.default_rng(6)
-    agg = rep.init_aggregator(4, 2, rng)
-    clf = rep.init_classifier(2, 4, rng)
-    state = env.init_episode(g, 0, agg)
-    rewards = []
-    for u in (1, 2, 3):
-        env.advance_to_candidate(state, u)
-        _, r = env.step(g, state, 1, agg, clf)
-        rewards.append(r)
+    # three neighbors with identical features -> identical per-item scores;
+    # the policy draws and accepts them before END
+    g = star_graph([[0.3, 0.7], [0.3, 0.7], [0.3, 0.7]])
+    agg = rep.AggregatorParams(np.eye(2))
+    clf = rep.init_classifier(2, 2, np.random.default_rng(6))
+    traj = env.rollout(g, 0, end_saturating_policy(2, 50.0), agg, clf,
+                       np.random.default_rng(6))
+    assert [t.action for t in traj.transitions] == [1, 1, 1]
+    rewards = [t.reward for t in traj.transitions]
     assert rewards[0] == pytest.approx(1.0, abs=1e-12)
     assert rewards[1] == pytest.approx(0.5, abs=1e-12)
     assert rewards[2] == pytest.approx(1.0 / 3.0, abs=1e-12)
 
 
 def test_step_reject_leaves_embedding_untouched_and_pays_zero():
-    g, agg, clf, _ = make_setup(seed=7)
-    v = next(v for v in range(g.num_nodes) if g.degree(v) >= 2)
-    state = env.init_episode(g, v, agg)
-    before = state.h_v.copy()
-    env.advance_to_candidate(state, int(g.neighbors(v)[0]))
-    _, reward = env.step(g, state, 0, agg, clf)
-    assert reward == 0.0
-    assert np.array_equal(state.h_v, before)
-    assert state.selected == []
-
-
-def test_step_without_staged_candidate_rejected():
-    g, agg, clf, _ = make_setup(seed=8)
-    state = env.init_episode(g, 0, agg)
-    with pytest.raises(ValueError):
-        env.step(g, state, 1, agg, clf)
-
-
-def test_step_rejects_bad_action():
-    g, agg, clf, _ = make_setup(seed=8)
-    v = next(v for v in range(g.num_nodes) if g.degree(v) >= 1)
-    state = env.init_episode(g, v, agg)
-    env.advance_to_candidate(state, int(g.neighbors(v)[0]))
-    with pytest.raises(ValueError):
-        env.step(g, state, 2, agg, clf)
+    # the h_v half of each state is the target's embedding when it was decided
+    g, agg, clf, policy = make_setup(seed=7)
+    rng = np.random.default_rng(7)
+    followed = 0
+    for v in range(g.num_nodes):
+        traj = env.rollout(g, v, policy, agg, clf, rng)
+        for t, nxt in zip(traj.transitions, traj.transitions[1:] + [None]):
+            if t.action == 0:
+                assert t.reward == 0.0
+                if nxt is not None:
+                    assert np.array_equal(nxt.state[:6], t.state[:6])
+                    followed += 1
+    assert followed > 0
 
 
 def test_rollout_isolated_node_is_empty_and_exhausted():
@@ -225,12 +256,21 @@ def test_incremental_embedding_matches_recomputation():
     v = max(range(g.num_nodes), key=g.degree)
     state = env.init_episode(g, v, agg)
     rng = np.random.default_rng(5)
-    for u in list(g.neighbors(v)):
-        env.advance_to_candidate(state, int(u))
-        env.step(g, state, int(rng.integers(2)), agg, clf)
+    while len(state.candidates) > 1:
+        u = state.take(0)
+        if rng.integers(2):
+            state.accept(g, agg, u)
         scratch = rep.aggregate(agg, g.features[v],
                                 [g.features[w] for w in state.selected])
         assert np.max(np.abs(state.h_v - scratch)) < 1e-12
+    # rollout states carry the same incremental embedding
+    traj = env.rollout(g, v, policy, agg, clf, np.random.default_rng(6))
+    selected = []
+    for t in traj.transitions:
+        scratch = rep.aggregate(agg, g.features[v], [g.features[w] for w in selected])
+        assert np.max(np.abs(t.state[:6] - scratch)) < 1e-12
+        if t.action == 1:
+            selected.append(t.candidate)
 
 
 def test_state_vectors_always_twice_embedding_dim(tmp_path):
@@ -242,15 +282,32 @@ def test_state_vectors_always_twice_embedding_dim(tmp_path):
             assert t.state.shape == (12,)
 
 
-def test_trajectory_dump_format(tmp_path):
-    import json
 
-    g, agg, clf, policy = make_setup(seed=14)
-    trajs = [env.rollout(g, v, policy, agg, clf, np.random.default_rng(v))
-             for v in range(3)]
-    path = tmp_path / "trajs.jsonl"
-    env.dump_trajectories(path, trajs)
-    lines = path.read_text().strip().split("\n")
-    assert len(lines) == 3
-    row = json.loads(lines[0])
-    assert set(row) == {"node", "candidates", "actions", "rewards", "terminated_by"}
+# Decisions of the seeded episode below, recorded before the episode API was
+# folded into EpisodeState. Any change to how an episode scores, orders,
+# samples or accepts candidates shows up here as a changed decision.
+PINNED_ROLLOUTS = {
+    2: [(5, 0), (22, 1), (16, 0)],
+    5: [(19, 0), (2, 1), (16, 1)],
+    11: [(2, 1), (15, 0)],
+    17: [(22, 1), (13, 1), (8, 1), (19, 1), (2, 0)],
+    21: [(19, 1), (22, 0), (14, 0), (9, 0), (8, 1), (20, 0)],
+}
+PINNED_GREEDY = {
+    0: [4], 1: [19, 2], 2: [22, 1], 3: [17, 1], 4: [8], 5: [2, 16], 6: [23, 17],
+    7: [2, 18], 11: [2, 14, 18], 15: [2], 16: [2, 4, 5], 23: [22],
+}
+
+
+def test_episode_decisions_are_pinned():
+    g = generate_planted_partition(24, 3, 0.35, 0.1, 4, 1.5, seed=21)
+    rng = np.random.default_rng(22)
+    agg = rep.init_aggregator(6, 4, rng)
+    clf = rep.init_classifier(3, 6, rng)
+    policy = policy_mod.init_policy(12, (8, 5), rng)
+    for v, decisions in PINNED_ROLLOUTS.items():
+        traj = env.rollout(g, v, policy, agg, clf, np.random.default_rng(100 + v))
+        assert [(t.candidate, t.action) for t in traj.transitions] == decisions
+        assert traj.terminated_by == env.TERMINATED_ENDING
+    for v in range(g.num_nodes):
+        assert trainer.greedy_select(g, v, policy, agg) == PINNED_GREEDY.get(v, [])

@@ -7,7 +7,7 @@ from graphdenoise import nn
 from graphdenoise import policy as policy_mod
 from graphdenoise.env import Trajectory, Transition
 from graphdenoise.policy import (PPOConfig, PolicyParams, discounted_returns,
-                                 kl_bernoulli, policy_forward, ppo_update,
+                                 kl_bernoulli, policy_forward_batch, ppo_update,
                                  sample_action, surrogate_and_grads)
 
 
@@ -21,7 +21,7 @@ def make_batch(policy, n_states=40, seed=0, reward_fn=None):
     trajectories = []
     for _ in range(n_states):
         s = rng.standard_normal(policy.state_dim)
-        p = policy_forward(policy, s)
+        p = policy_forward_batch(policy, s[None, :])[0]
         a, logp = sample_action(p, rng)
         r = reward_fn(a) if reward_fn else float(rng.random())
         trajectories.append(Trajectory(0, [Transition(s, a, r, logp, 0)], "exhausted_candidates"))
@@ -30,25 +30,27 @@ def make_batch(policy, n_states=40, seed=0, reward_fn=None):
 
 def test_policy_forward_zero_weights_is_half():
     p = PolicyParams(nn.MlpParams([np.zeros((4, 6)), np.zeros((1, 4))]))
-    assert policy_forward(p, np.ones(6)) == 0.5
+    assert policy_forward_batch(p, np.ones((3, 6))).tolist() == [0.5, 0.5, 0.5]
 
 
 def test_policy_forward_is_pure_and_in_open_interval():
     p = make_policy()
-    s = np.random.default_rng(1).standard_normal(6)
-    a = policy_forward(p, s)
-    assert a == policy_forward(p, s)
-    assert 0.0 < a < 1.0
+    states = np.random.default_rng(1).standard_normal((20, 6))
+    a = policy_forward_batch(p, states)
+    assert np.array_equal(a, policy_forward_batch(p, states))
+    assert np.all((0.0 < a) & (a < 1.0))
 
 
 def test_policy_forward_matches_manual_formula():
     p = make_policy(seed=2)
-    s = np.random.default_rng(3).standard_normal(6)
-    h = s
-    for w in p.mlp.weights[:-1]:
-        h = np.maximum(w @ h, 0.0)
-    z = float((p.mlp.weights[-1] @ h)[0])
-    assert policy_forward(p, s) == pytest.approx(1.0 / (1.0 + math.exp(-z)), abs=1e-12)
+    states = np.random.default_rng(3).standard_normal((5, 6))
+    probs = policy_forward_batch(p, states)
+    for s, prob in zip(states, probs):
+        h = s
+        for w in p.mlp.weights[:-1]:
+            h = np.maximum(w @ h, 0.0)
+        z = float((p.mlp.weights[-1] @ h)[0])
+        assert prob == pytest.approx(1.0 / (1.0 + math.exp(-z)), abs=1e-12)
 
 
 def test_policy_stack_uses_configured_hidden_sizes():
@@ -112,14 +114,15 @@ def test_discounted_returns_invalid_gamma():
 
 def test_kl_bernoulli_zero_iff_equal():
     rng = np.random.default_rng(8)
-    for _ in range(50):
-        p = float(rng.uniform(0.01, 0.99))
-        q = float(rng.uniform(0.01, 0.99))
-        assert kl_bernoulli(p, p) == 0.0
-        k = kl_bernoulli(p, q)
-        assert k >= 0.0
-        if abs(p - q) > 1e-6:
-            assert k > 0.0
+    p = rng.uniform(0.01, 0.99, 50)
+    q = rng.uniform(0.01, 0.99, 50)
+    assert np.all(kl_bernoulli(p, p) == 0.0)
+    k = kl_bernoulli(p, q)
+    assert np.all(k >= 0.0)
+    assert np.all(k[np.abs(p - q) > 1e-6] > 0.0)
+    # elementwise: each entry is the KL of its own pair
+    for i in range(50):
+        assert k[i] == pytest.approx(kl_bernoulli(p[i], q[i]), rel=1e-12)
 
 
 def test_kl_bernoulli_known_value():
@@ -140,6 +143,8 @@ def test_kl_bernoulli_rejects_boundary():
         kl_bernoulli(0.0, 0.5)
     with pytest.raises(ValueError):
         kl_bernoulli(0.5, 1.0)
+    with pytest.raises(ValueError):
+        kl_bernoulli(np.array([0.5, 0.2]), np.array([0.5, 1.0]))
 
 
 def test_ppo_zero_epochs_is_identity_with_zero_kl():
@@ -203,7 +208,7 @@ def test_ppo_normalized_returns_balanced_signs():
     for i in range(10):
         s = rng.standard_normal(policy.state_dim)
         a = i % 2
-        p = policy_forward(policy, s)
+        p = policy_forward_batch(policy, s[None, :])[0]
         logp = math.log(p if a else 1.0 - p)
         trajs.append(Trajectory(0, [Transition(s, a, float(a), logp, 0)], "x"))
     _, diag = ppo_update(policy, policy.copy(), trajs, PPOConfig(update_epochs=0),
@@ -243,3 +248,9 @@ def test_ppo_config_validation():
         PPOConfig(gamma=1.5)
     with pytest.raises(ValueError):
         PPOConfig(delta=0.0)
+    for size in (0, -1):
+        with pytest.raises(ValueError, match="minibatch_size"):
+            PPOConfig(minibatch_size=size)
+    with pytest.raises(ValueError, match="update_epochs"):
+        PPOConfig(update_epochs=-1)
+    assert PPOConfig(update_epochs=0, minibatch_size=1).update_epochs == 0

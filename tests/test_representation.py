@@ -250,13 +250,3 @@ def test_prediction_loss_grads_match_finite_differences():
             num = (up - down) / (2 * h)
             denom = max(abs(num), abs(grad[idx]), 1e-7)
             assert abs(grad[idx] - num) / denom < 1e-4
-
-
-def test_write_embeddings_round_trip(tmp_path):
-    H = np.array([[1.25, -2.5], [0.1, 0.2]])
-    path = tmp_path / "emb.tsv"
-    rep.write_embeddings(path, [3, 7], H)
-    lines = path.read_text().strip().split("\n")
-    assert lines[0].split("\t")[0] == "3"
-    parsed = np.array([[float(x) for x in line.split("\t")[1:]] for line in lines])
-    assert np.array_equal(parsed, H)

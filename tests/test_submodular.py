@@ -168,22 +168,19 @@ def test_reward_function_hard_mode_properties():
 
 def test_reward_marginal_equals_environment_step_reward():
     # dual route: the set-function gain must reproduce the rollout reward
-    # when the same subset is accepted in the same order
+    # of each accepted neighbor, given the neighbors accepted before it
     f, g, v, agg, clf = make_reward_fn(seed=2)
-    rng = np.random.default_rng(7)
-    for _ in range(20):
-        perm = rng.permutation(len(f.ground))
-        take = [f.ground[i] for i in perm[: rng.integers(1, len(f.ground) + 1)]]
-        state = env.init_episode(g, v, agg)
-        accumulated, rewards = [], []
-        for u in take:
-            expected = f.marginal(u, frozenset(accumulated))
-            env.advance_to_candidate(state, u)
-            _, reward = env.step(g, state, 1, agg, clf)
-            assert abs(reward - expected) < 1e-9
-            accumulated.append(u)
-            rewards.append(reward)
-        assert sum(rewards) == f.order_value(take)
+    policy = policy_mod.init_policy(2 * agg.embed_dim, (8, 5), np.random.default_rng(7))
+    longest = 0
+    for seed in range(20):
+        traj = env.rollout(g, v, policy, agg, clf, np.random.default_rng(seed))
+        accepted = [t for t in traj.transitions if t.action == 1]
+        take = [t.candidate for t in accepted]
+        for i, t in enumerate(accepted):
+            assert abs(t.reward - f.marginal(t.candidate, frozenset(take[:i]))) < 1e-9
+        assert sum(t.reward for t in accepted) == f.order_value(take)
+        longest = max(longest, len(take))
+    assert longest >= 2
 
 
 def test_reward_evaluate_matches_appended_marginal():
