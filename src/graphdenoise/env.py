@@ -87,10 +87,10 @@ def init_episode(graph, v, agg):
     """Fresh episode: nothing selected, all neighbors plus END pending."""
     if not 0 <= v < graph.num_nodes:
         raise ValueError(f"node {v} outside [0, {graph.num_nodes})")
-    neighbors = [int(u) for u in graph.adjacency[v]]
+    neighbors = [int(u) for u in graph.neighbors(v)]
     # END carries an all-zero feature vector; it is embedded apart because a
     # zero row in the neighbors' matmul changes their rounding
-    cand_embed = np.vstack([rep.embed_means(agg, graph.features[graph.adjacency[v]]),
+    cand_embed = np.vstack([rep.embed_means(agg, graph.features[graph.neighbors(v)]),
                             rep.aggregate(agg, np.zeros(graph.feature_dim), [])])
     h_v = rep.aggregate(agg, graph.features[v], [])
     return EpisodeState(target=int(v), selected=[], candidates=neighbors + [END],
@@ -107,7 +107,7 @@ def rollout(graph, v, policy, agg, clf, rng, max_steps=None, fc_mode="soft"):
     """
     state = init_episode(graph, v, agg)
     if max_steps is None:
-        max_steps = len(graph.adjacency[v]) + 1
+        max_steps = graph.degree(v) + 1
     if max_steps < 1:
         raise ValueError(f"max_steps must be >= 1, got {max_steps}")
     transitions = []

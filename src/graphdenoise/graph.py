@@ -2,6 +2,10 @@
 
 Graphs are undirected, unweighted, with dense 0-based node ids, per-node
 feature rows, integer class labels, and disjoint train/val/test masks.
+Neighbor lists are compressed sparse rows: node v's neighbors are
+``indices[indptr[v]:indptr[v + 1]]``, ascending and duplicate-free, and each
+edge appears from both ends. Other modules read them only through
+``neighbors``, ``degree``, ``edge_list``, ``edge_set`` and ``num_edges``.
 Instances are frozen after construction: the arrays are marked read-only and
 every producer returns a fresh value, so graphs can be shared freely.
 """
@@ -9,6 +13,7 @@ every producer returns a fresh value, so graphs can be shared freely.
 from __future__ import annotations
 
 import json
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +26,8 @@ class GraphError(ValueError):
 @dataclass(frozen=True)
 class Graph:
     num_nodes: int
-    adjacency: tuple  # per node: sorted np.int64 array of neighbor ids
+    indptr: np.ndarray  # (n + 1,) int64 offsets of each node's neighbors in indices
+    indices: np.ndarray  # (2|E|,) int64 neighbor ids, ascending within each node
     features: np.ndarray  # (n, D) float64
     labels: np.ndarray  # (n,) int64
     train_mask: np.ndarray  # (n,) bool
@@ -38,22 +44,19 @@ class Graph:
 
     @property
     def num_edges(self):
-        return sum(len(a) for a in self.adjacency) // 2
+        return self.indices.size // 2
 
     def neighbors(self, v):
-        return self.adjacency[v]
+        return self.indices[self.indptr[v]:self.indptr[v + 1]]
 
     def degree(self, v):
-        return len(self.adjacency[v])
+        return int(self.indptr[v + 1] - self.indptr[v])
 
     def edge_list(self):
         """All undirected edges as sorted (u, v) pairs with u < v."""
-        out = []
-        for u, nbrs in enumerate(self.adjacency):
-            for v in nbrs:
-                if u < v:
-                    out.append((u, int(v)))
-        return out
+        src = _sources(self.indptr)
+        upper = src < self.indices
+        return list(zip(src[upper].tolist(), self.indices[upper].tolist()))
 
     def edge_set(self):
         return set(self.edge_list())
@@ -65,61 +68,75 @@ def _read_only(arr):
     return arr
 
 
+def _sources(indptr):
+    """The node each entry of indices belongs to."""
+    return np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
+
+
 def build_graph(num_nodes, edges, features, labels, masks=None, split_seed=0):
     """Assemble and validate a Graph.
 
-    Edges are symmetrized and de-duplicated; self-loops are dropped. When
-    masks is None a stratified 60/20/20 split (seeded) is generated.
+    Edges are rows whose first two entries are integer node ids (further
+    entries are ignored); they are symmetrized and de-duplicated, and
+    self-loops are dropped. When masks is None a stratified 60/20/20 split
+    (seeded) is generated.
     """
     n = int(num_nodes)
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2 or features.shape[0] != n:
         raise GraphError(f"features must be ({n}, D), got {features.shape}")
-    labels = np.asarray(labels, dtype=np.int64)
-    if labels.shape != (n,):
-        raise GraphError(f"labels must have shape ({n},), got {labels.shape}")
+    labels = np.asarray(labels)
+    if labels.shape != (n,) or (n and labels.dtype.kind not in "iu"):
+        raise GraphError(f"labels must be ({n},) integer class ids, got {labels.dtype} {labels.shape}")
+    labels = labels.astype(np.int64)
     if n and labels.min() < 0:
         raise GraphError("labels must be non-negative class ids")
 
-    nbr_sets = [set() for _ in range(n)]
-    for e in edges:
-        u, v = int(e[0]), int(e[1])
-        if not (0 <= u < n and 0 <= v < n):
-            raise GraphError(f"edge ({u}, {v}) references a node outside [0, {n})")
-        if u == v:
-            continue
-        nbr_sets[u].add(v)
-        nbr_sets[v].add(u)
-    adjacency = tuple(_read_only(np.array(sorted(s), dtype=np.int64)) for s in nbr_sets)
+    pairs = np.asarray(edges)
+    if pairs.size == 0:
+        pairs = np.empty((0, 2), dtype=np.int64)
+    if pairs.ndim != 2 or pairs.shape[1] < 2 or pairs.dtype.kind not in "iu":
+        raise GraphError("edges must be rows of at least two integer node ids, "
+                         f"got {pairs.dtype} of shape {pairs.shape}")
+    pairs = pairs[:, :2].astype(np.int64)
+    outside = pairs[((pairs < 0) | (pairs >= n)).any(axis=1)]
+    if outside.size:
+        raise GraphError(f"edge {tuple(outside[0].tolist())} references a node outside [0, {n})")
+    src, dst = pairs[pairs[:, 0] != pairs[:, 1]].T
+    # both directions, de-duplicated and sorted by (node, neighbor)
+    keys = np.unique(np.concatenate([src * n + dst, dst * n + src]))
+    indptr, indices = np.searchsorted(keys // n, np.arange(n + 1)), keys % n
 
     if masks is None:
-        rng = np.random.default_rng(split_seed)
-        train, val, test = stratified_split(labels, rng=rng)
+        train, val, test = stratified_split(labels, rng=np.random.default_rng(split_seed))
     else:
-        train = np.asarray(masks["train"], dtype=bool)
-        val = np.asarray(masks["val"], dtype=bool)
-        test = np.asarray(masks["test"], dtype=bool)
+        try:
+            train, val, test = (np.asarray(masks[k], dtype=bool) for k in ("train", "val", "test"))
+        except (KeyError, TypeError) as exc:  # a key is missing, or masks is no mapping
+            raise GraphError(f"masks must map train, val and test to vectors ({exc})") from exc
 
-    g = Graph(n, adjacency, _read_only(features), _read_only(labels),
-              _read_only(train), _read_only(val), _read_only(test))
+    g = Graph(n, _read_only(indptr), _read_only(indices), _read_only(features),
+              _read_only(labels), _read_only(train), _read_only(val), _read_only(test))
     validate_graph(g)
     return g
 
 
 def validate_graph(g):
     """Raise GraphError unless every structural invariant holds."""
-    if len(g.adjacency) != g.num_nodes:
-        raise GraphError("adjacency length != num_nodes")
-    for u, nbrs in enumerate(g.adjacency):
-        if len(nbrs) > 1 and np.any(np.diff(nbrs) <= 0):
-            raise GraphError(f"neighbor list of node {u} not sorted or not duplicate-free")
-        for v in nbrs:
-            if v == u:
-                raise GraphError(f"self-loop at node {u}")
-            if not (0 <= v < g.num_nodes):
-                raise GraphError(f"neighbor {v} of node {u} out of range")
-            if u not in g.adjacency[v]:
-                raise GraphError(f"asymmetric edge ({u}, {v})")
+    n, indptr, indices = g.num_nodes, g.indptr, g.indices
+    if (indptr.shape != (n + 1,) or indptr[0] != 0 or indptr[-1] != indices.size
+            or (np.diff(indptr) < 0).any()):
+        raise GraphError(f"indptr must be {n + 1} non-decreasing offsets from 0 to {indices.size}")
+    src = _sources(indptr)
+    unsorted = np.append(False, (np.diff(src) == 0) & (np.diff(indices) <= 0))
+    for bad, message in (
+            (unsorted, "neighbor list of node {u} not sorted or not duplicate-free"),
+            (indices == src, "self-loop at node {u}"),
+            ((indices < 0) | (indices >= n), "neighbor {v} of node {u} out of range"),
+            (~np.isin(indices * n + src, src * n + indices), "asymmetric edge ({u}, {v})")):
+        hit = np.flatnonzero(bad)
+        if hit.size:
+            raise GraphError(message.format(u=src[hit[0]], v=indices[hit[0]]))
     for name in ("train_mask", "val_mask", "test_mask"):
         m = getattr(g, name)
         if m.shape != (g.num_nodes,) or m.dtype != np.bool_:
@@ -193,69 +210,31 @@ def load_graph(path, fmt="json", features_path=None, labels_path=None, split_see
     if fmt == "edge-list+features":
         if labels_path is None:
             raise GraphError("edge-list format needs labels_path")
-        labels = _read_labels(labels_path)
+        labels = _read_table(labels_path, np.int64)
+        if labels.shape[1] != 1:
+            raise GraphError(f"{labels_path}: expected one integer label per line")
+        labels = labels[:, 0]
         if features_path is None:
             features = np.eye(len(labels))
         else:
-            features = _read_matrix(features_path)
-            if len(labels) != len(features):
-                raise GraphError(f"{len(features)} feature rows but {len(labels)} labels")
-        edges = _read_edges(path)
+            features = _read_table(features_path, np.float64, delimiter="\t")
+            if len(features) != len(labels) or not len(features):
+                raise GraphError(f"{features_path}: {len(features)} feature rows "
+                                 f"but {len(labels)} labels")
+        edges = _read_table(path, np.int64, usecols=(0, 1))
         return build_graph(len(labels), edges, features, labels, split_seed=split_seed)
     raise GraphError(f"unknown graph format {fmt!r}")
 
 
-def _read_edges(path):
-    edges = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) < 2:
-                raise GraphError(f"{path}:{lineno}: expected 'src dst'")
-            try:
-                edges.append((int(parts[0]), int(parts[1])))
-            except ValueError as exc:
-                raise GraphError(f"{path}:{lineno}: non-integer node id") from exc
-    return edges
-
-
-def _read_matrix(path):
-    rows = []
-    width = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            try:
-                row = [float(tok) for tok in line.split("\t")]
-            except ValueError as exc:
-                raise GraphError(f"{path}:{lineno}: non-numeric feature value") from exc
-            if width is None:
-                width = len(row)
-            elif len(row) != width:
-                raise GraphError(f"{path}:{lineno}: feature row has {len(row)} values, expected {width}")
-            rows.append(row)
-    if not rows:
-        raise GraphError(f"{path}: empty feature file")
-    return np.array(rows, dtype=np.float64)
-
-
-def _read_labels(path):
-    labels = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                labels.append(int(line))
-            except ValueError as exc:
-                raise GraphError(f"{path}:{lineno}: non-integer label") from exc
-    return np.array(labels, dtype=np.int64)
+def _read_table(path, dtype, **kwargs):
+    """Rows of a text table as a 2-D array, skipping blank lines; an empty file has no rows."""
+    with open(path, "r", encoding="utf-8") as fh, warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        try:
+            return np.loadtxt((line for line in fh if line.strip()), dtype=dtype,
+                              comments=None, ndmin=2, **kwargs)
+        except ValueError as exc:
+            raise GraphError(f"cannot parse {path}: {exc}") from exc
 
 
 def save_graph_json(g, path):
@@ -305,7 +284,7 @@ def generate_planted_partition(n, classes, p_in, p_out, dim, signal_strength, se
     same = labels[iu] == labels[ju]
     probs = np.where(same, p_in, p_out)
     keep = rng.random(iu.size) < probs
-    edges = list(zip(iu[keep].tolist(), ju[keep].tolist()))
+    edges = np.stack([iu[keep], ju[keep]], axis=1)
 
     means = np.zeros((classes, dim))
     means[np.arange(classes), np.arange(classes)] = float(signal_strength)
@@ -332,11 +311,11 @@ def inject_edge_noise(g, spec):
         return g
     rng = np.random.default_rng(spec.seed)
     labels = g.labels
-    existing = g.edge_set()
+    src, dst = _sources(g.indptr), g.indices  # every edge, once from each end
 
     counts = np.bincount(labels, minlength=g.num_classes)
     total_cross = (g.num_nodes * g.num_nodes - int(np.sum(counts.astype(np.int64) ** 2))) // 2
-    existing_cross = sum(1 for u, v in existing if labels[u] != labels[v])
+    existing_cross = int(np.count_nonzero(labels[src] != labels[dst])) // 2
     available = total_cross - existing_cross
     if k > available:
         raise GraphError(f"cannot add {k} cross-class edges, only {available} pairs are absent")
@@ -345,26 +324,21 @@ def inject_edge_noise(g, spec):
         iu, ju = np.triu_indices(g.num_nodes, k=1)
         cross = labels[iu] != labels[ju]
         adj = np.zeros((g.num_nodes, g.num_nodes), dtype=bool)
-        for u, v in existing:
-            adj[u, v] = True
+        adj[src, dst] = True
         free = cross & ~adj[iu, ju]
         cand_u, cand_v = iu[free], ju[free]
         pick = rng.choice(cand_u.size, size=k, replace=False)
-        added = list(zip(cand_u[pick].tolist(), cand_v[pick].tolist()))
+        added = np.stack([cand_u[pick], cand_v[pick]], axis=1)
     else:
-        added_set = set()
-        while len(added_set) < k:
+        taken = g.edge_set()
+        while len(taken) < g.num_edges + k:
             u = int(rng.integers(g.num_nodes))
             v = int(rng.integers(g.num_nodes))
-            if u == v or labels[u] == labels[v]:
-                continue
-            pair = (min(u, v), max(u, v))
-            if pair in existing or pair in added_set:
-                continue
-            added_set.add(pair)
-        added = sorted(added_set)
+            if u != v and labels[u] != labels[v]:
+                taken.add((min(u, v), max(u, v)))
+        added = np.array(list(taken), dtype=np.int64)  # build_graph drops the repeats
 
-    edges = list(existing) + added
+    edges = np.concatenate([np.stack([src, dst], axis=1), added])
     return build_graph(g.num_nodes, edges, g.features, g.labels,
                        masks={"train": g.train_mask, "val": g.val_mask, "test": g.test_mask})
 

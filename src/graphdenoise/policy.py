@@ -9,7 +9,8 @@ is its sigmoid, so both heads share every weight.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -91,6 +92,18 @@ def kl_bernoulli(p_old, p_new):
             + (1.0 - p_old) * np.log((1.0 - p_old) / (1.0 - p_new)))
 
 
+def check_field_types(cfg):
+    """Raise ValueError naming the first int, float or bool field of a config
+    dataclass whose value has another type; a bool is neither int nor float."""
+    kinds = {"int": numbers.Integral, "int | None": (numbers.Integral, type(None)),
+             "float": numbers.Real, "bool": bool}
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if f.type in kinds and (not isinstance(value, kinds[f.type])
+                                or (isinstance(value, bool) and f.type != "bool")):
+            raise ValueError(f"{f.name} must be {f.type}, got {value!r}")
+
+
 @dataclass
 class PPOConfig:
     gamma: float = 0.95
@@ -101,6 +114,7 @@ class PPOConfig:
     lr: float = 1e-3
 
     def __post_init__(self):
+        check_field_types(self)
         if not 0.0 <= self.gamma <= 1.0:
             raise ValueError(f"gamma must be in [0, 1], got {self.gamma}")
         if self.delta <= 0:

@@ -192,7 +192,7 @@ def train_representation(agg, clf, graph, selected_sets, epochs, batch_size=256,
     """Fit aggregator + classifier on train-mask nodes over fixed neighbor sets.
 
     selected_sets maps node id -> ids of the neighbors to aggregate (must be
-    a subset of the node's adjacency). Returns (new agg, new clf, per-epoch
+    a subset of the node's neighbors). Returns (new agg, new clf, per-epoch
     mean loss history); the inputs are not mutated.
     """
     rng = rng or np.random.default_rng(0)
@@ -201,7 +201,7 @@ def train_representation(agg, clf, graph, selected_sets, epochs, batch_size=256,
         raise ValueError("graph has no training nodes")
     for v in train_ids:
         sel = np.asarray(selected_sets[v], dtype=np.int64)
-        if sel.size and not np.isin(sel, graph.adjacency[v]).all():
+        if sel.size and not np.isin(sel, graph.neighbors(v)).all():
             raise ValueError(f"selected set of node {v} is not a subset of its neighbors")
 
     agg = agg.copy()

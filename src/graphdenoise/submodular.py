@@ -108,7 +108,7 @@ class SelectionRewardFunction(SetFunction):
     """
 
     def __init__(self, graph, node, agg, clf, fc_mode="soft", k_max=None):
-        neighbors = [int(u) for u in graph.adjacency[node]]
+        neighbors = [int(u) for u in graph.neighbors(node)]
         if not neighbors:
             raise ValueError(f"node {node} has no neighbors to select from")
         super().__init__(neighbors, k_max if k_max is not None else len(neighbors))

@@ -48,6 +48,9 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        policy_mod.check_field_types(self)
+        if self.fc_mode not in ("soft", "hard"):
+            raise ValueError(f"fc_mode must be 'soft' or 'hard', got {self.fc_mode!r}")
         for name in ("outer_iters", "rep_epochs", "batch_size", "embed_dim",
                      "rollouts_per_node"):
             if getattr(self, name) < (0 if name == "outer_iters" else 1):
@@ -140,7 +143,7 @@ def train(graph, cfg):
         # phase 1: freeze the policy, materialize selection sets, fit the
         # aggregator + classifier on them
         if cfg.select_all:
-            selected = {int(v): graph.adjacency[v] for v in train_ids}
+            selected = {int(v): graph.neighbors(v) for v in train_ids}
         else:
             selected = {}
             for v in train_ids:
@@ -207,7 +210,7 @@ def _decoded_sets(graph, policy, agg, selection, nodes):
     if selection not in SELECTION_MODES:
         raise ValueError(f"selection must be one of {SELECTION_MODES}")
     if selection == "all":
-        return {int(v): list(graph.adjacency[v]) for v in nodes}
+        return {int(v): graph.neighbors(v) for v in nodes}
     if selection == "none":
         return {int(v): [] for v in nodes}
     return {int(v): greedy_select(graph, int(v), policy, agg) for v in nodes}
@@ -243,10 +246,7 @@ def export_denoised_graph(policy, agg, graph, path, selection="policy"):
     """
     all_nodes = np.arange(graph.num_nodes)
     kept_sets = _decoded_sets(graph, policy, agg, selection, all_nodes)
-    edges = []
-    for u, v in graph.edge_list():
-        if v in kept_sets[u] or u in kept_sets[v]:
-            edges.append((u, v))
+    edges = [(u, v) for u, v in graph.edge_list() if v in kept_sets[u] or u in kept_sets[v]]
     denoised = build_graph(graph.num_nodes, edges, graph.features, graph.labels,
                            masks={"train": graph.train_mask, "val": graph.val_mask,
                                   "test": graph.test_mask})

@@ -173,6 +173,11 @@ def test_unknown_config_key_is_validation_error(tmp_path, capsys):
     ({"ppo": 3}, "ppo"),
     ({"policy_hidden": 5}, "policy_hidden"),
     ({"outer_iters": 0, "ppo": {"minibatch_size": -1}}, "minibatch_size"),
+    ({"ppo": {"minibatch_size": "a"}}, "minibatch_size"),
+    ({"embed_dim": 2.5}, "embed_dim"),
+    ({"rep_lr": "fast"}, "rep_lr"),
+    ({"select_all": "no"}, "select_all"),
+    ({"outer_iters": "x"}, "outer_iters"),
 ])
 def test_config_shape_is_validation_error(tmp_path, capsys, overrides, named):
     assert run(synth_args(tmp_path)) == 0
@@ -180,6 +185,25 @@ def test_config_shape_is_validation_error(tmp_path, capsys, overrides, named):
     cfg_path.write_text(json.dumps(overrides))
     assert run(["train", "--graph", str(tmp_path / "graph.json"),
                 "--config", str(cfg_path), "--out-dir", str(tmp_path / "run")]) == 1
+    assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("change, named", [
+    ({"edges": [[0]]}, "edges must be rows"),
+    ({"edges": 5}, "edges must be rows"),
+    ({"edges": [[0, 1.5]]}, "integer node ids"),
+    ({"labels": [0, 0.5, 1]}, "integer class ids"),
+    ({"masks": {"train": [True, False, False], "test": [False, False, True]}},
+     "train, val and test to vectors ('val')"),
+    ({"masks": 5}, "masks must map train, val and test"),
+])
+def test_malformed_graph_json_is_validation_error(tmp_path, capsys, change, named):
+    blob = {"n": 3, "edges": [[0, 1], [1, 2]], "features": [[1.0], [0.0], [1.0]],
+            "labels": [0, 1, 1]}
+    blob.update(change)
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(blob))
+    assert run(["noise", "--graph", str(path), "--out-dir", str(tmp_path / "out")]) == 1
     assert named in capsys.readouterr().err
 
 

@@ -1,5 +1,10 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from graphdenoise.graph import (Graph, GraphError, NoiseSpec, build_graph,
                                 corrupt_features, generate_planted_partition,
@@ -9,7 +14,8 @@ from graphdenoise.graph import (Graph, GraphError, NoiseSpec, build_graph,
 
 def graphs_equal(a, b):
     return (a.num_nodes == b.num_nodes
-            and all(np.array_equal(x, y) for x, y in zip(a.adjacency, b.adjacency))
+            and np.array_equal(a.indptr, b.indptr)
+            and np.array_equal(a.indices, b.indices)
             and np.array_equal(a.features, b.features)
             and np.array_equal(a.labels, b.labels)
             and np.array_equal(a.train_mask, b.train_mask)
@@ -230,4 +236,112 @@ def test_graph_arrays_are_read_only():
     with pytest.raises(ValueError):
         g.features[0, 0] = 5.0
     with pytest.raises(ValueError):
-        g.adjacency[0][0] = 9
+        g.neighbors(0)[0] = 9
+    with pytest.raises(ValueError):
+        g.indptr[0] = 1
+
+
+def hand_graph(indptr, indices):
+    """A 3-node Graph made without build_graph, so any CSR layout can be checked."""
+    m = np.zeros(3, dtype=bool)
+    return Graph(3, np.array(indptr), np.array(indices), np.eye(3),
+                 np.zeros(3, dtype=np.int64), m, m, m)
+
+
+def test_validate_accepts_a_canonical_hand_built_graph():
+    validate_graph(hand_graph([0, 1, 3, 4], [1, 0, 2, 1]))  # edges (0, 1), (1, 2)
+
+
+@pytest.mark.parametrize("indptr, indices, message", [
+    ([0, 1, 3], [1, 0, 2, 1], "indptr must be 4"),  # wrong length
+    ([0, 3, 1, 4], [1, 0, 2, 1], "non-decreasing"),  # decreasing
+    ([0, 1, 3, 3], [1, 0, 2, 1], "offsets from 0 to 4"),  # short of the last entry
+    ([0, 1, 3, 4], [1, 0, 3, 1], "neighbor 3 of node 1 out of range"),
+    ([0, 1, 3, 4], [1, 0, 1, 1], "self-loop at node 1"),
+    ([0, 1, 3, 4], [1, 2, 0, 1], "neighbor list of node 1 not sorted"),
+    ([0, 1, 4, 5], [1, 0, 0, 2, 1], "node 1 not sorted or not duplicate-free"),
+    ([0, 1, 2, 3], [1, 0, 0], r"asymmetric edge \(2, 0\)"),
+])
+def test_validate_names_each_broken_invariant(indptr, indices, message):
+    with pytest.raises(GraphError, match=message):
+        validate_graph(hand_graph(indptr, indices))
+
+
+def test_json_edge_rows_ignore_extra_columns(tmp_path):
+    path = tmp_path / "g.json"
+    path.write_text('{"n": 3, "edges": [[0, 1, 7]], "labels": [0, 1, 1]}')
+    assert load_graph(path).edge_list() == [(0, 1)]
+
+
+def test_edge_list_parsing_rules(tmp_path):
+    (tmp_path / "labels.txt").write_text("0\n\n1\n1\n")
+    (tmp_path / "edges.txt").write_text("0 1 9.5 x\n\n1\t2\n")
+
+    def load(edges="edges.txt", labels="labels.txt"):
+        return load_graph(tmp_path / edges, fmt="edge-list+features",
+                          labels_path=tmp_path / labels)
+
+    assert load().edge_list() == [(0, 1), (1, 2)]  # blank line skipped, extra columns ignored
+    (tmp_path / "feats.tsv").write_text("1\t2\n \t \n3\t4\n5\t6\n")
+    g = load_graph(tmp_path / "edges.txt", fmt="edge-list+features",
+                   features_path=tmp_path / "feats.tsv", labels_path=tmp_path / "labels.txt")
+    assert g.features.tolist() == [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]
+    (tmp_path / "empty.txt").write_text("")
+    assert load("empty.txt").num_edges == 0
+    for name, text in (("hash.txt", "# comment\n0 1\n"), ("short.txt", "0\n"),
+                       ("float.txt", "0 1.0\n")):
+        (tmp_path / name).write_text(text)
+        with pytest.raises(GraphError, match=name):
+            load(name)
+    for name, text in (("l_float.txt", "0\n1.0\n1\n"), ("l_two.txt", "0 1\n")):
+        (tmp_path / name).write_text(text)
+        with pytest.raises(GraphError, match=name):
+            load(labels=name)
+
+
+@st.composite
+def edge_inputs(draw):
+    """(n, edges, labels): duplicate, reversed and self-loop pairs, isolated nodes."""
+    n = draw(st.integers(0, 9))
+    node = st.integers(0, max(n - 1, 0))
+    pairs = draw(st.lists(st.tuples(node, node), max_size=30)) if n else []
+    edges = np.array(pairs, dtype=np.int64).reshape(-1, 2) if draw(st.booleans()) else pairs
+    labels = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    return n, edges, labels
+
+
+@settings(max_examples=150, deadline=None)
+@given(edge_inputs())
+@example((0, [], []))
+@example((1, [(0, 0), (0, 0)], [0]))
+def test_csr_layout_matches_set_reference(case):
+    n, edges, labels = case
+    features = np.random.default_rng(n).standard_normal((n, 2))
+    g = build_graph(n, edges, features, labels)
+    validate_graph(g)
+    ref = {v: set() for v in range(n)}
+    for u, v in (tuple(e) for e in np.asarray(edges, dtype=np.int64).reshape(-1, 2)):
+        if u != v:
+            ref[int(u)].add(int(v))
+            ref[int(v)].add(int(u))
+    for v in range(n):
+        assert g.neighbors(v).tolist() == sorted(ref[v])
+        assert g.degree(v) == len(ref[v])
+    pairs = sorted((u, v) for u in ref for v in ref[u] if u < v)
+    assert g.edge_list() == pairs
+    assert g.edge_set() == set(pairs)
+    assert g.num_edges == len(pairs)
+    if n == 0:
+        return  # an empty feature file is rejected, so there is no edge-list twin
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        save_graph_json(g, tmp / "a.json")
+        save_graph_json(load_graph(tmp / "a.json"), tmp / "json.json")
+        write_edge_list(g, tmp / "edges.txt")
+        np.savetxt(tmp / "feats.tsv", g.features, fmt="%.17g", delimiter="\t")
+        np.savetxt(tmp / "labels.txt", g.labels, fmt="%d")
+        twin = load_graph(tmp / "edges.txt", fmt="edge-list+features",
+                          features_path=tmp / "feats.tsv", labels_path=tmp / "labels.txt")
+        save_graph_json(twin, tmp / "edge_list.json")
+        assert (tmp / "edge_list.json").read_bytes() == (tmp / "json.json").read_bytes()
+        assert (tmp / "json.json").read_bytes() == (tmp / "a.json").read_bytes()

@@ -155,7 +155,7 @@ def test_micro_f1_rejects_empty_and_mismatched():
 
 
 def _full_sets(g):
-    return {v: g.adjacency[v] for v in range(g.num_nodes)}
+    return {v: g.neighbors(v) for v in range(g.num_nodes)}
 
 
 def test_train_representation_learns_separable_data():

@@ -110,7 +110,7 @@ def test_evaluate_select_all_equals_plain_mean_aggregator():
     score = trainer.evaluate(policy, agg, clf, g, "test", selection="all")
     # independent pipeline: full-neighborhood means -> embed -> argmax
     nodes = np.flatnonzero(g.test_mask)
-    sets = {int(v): g.adjacency[v] for v in nodes}
+    sets = {int(v): g.neighbors(v) for v in nodes}
     means = rep.node_mean_vectors(g, nodes, sets)
     preds = np.argmax(rep.classify_batch(clf, rep.embed_means(agg, means)), axis=1)
     assert score == rep.micro_f1(preds, g.labels[nodes])
@@ -251,3 +251,20 @@ def test_config_validation():
         TrainConfig(rep_epochs=0)
     with pytest.raises(ValueError):
         TrainConfig(outer_iters=-1)
+
+
+@pytest.mark.parametrize("cls, field, value", [
+    (TrainConfig, "embed_dim", 2.5),
+    (TrainConfig, "outer_iters", True),
+    (TrainConfig, "rep_lr", "fast"),
+    (TrainConfig, "select_all", "no"),
+    (TrainConfig, "max_steps", 1.5),
+    (TrainConfig, "fc_mode", "medium"),
+    (PPOConfig, "minibatch_size", "a"),
+    (PPOConfig, "gamma", True),
+])
+def test_config_value_types_are_named(cls, field, value):
+    with pytest.raises(ValueError, match=field):
+        cls(**{field: value})
+    # numpy scalars, and None where the field allows it, stay valid
+    TrainConfig(seed=np.int64(3), rep_lr=np.float64(1e-3), max_steps=None)
