@@ -11,10 +11,10 @@ from .graph import (Graph, GraphError, NoiseSpec, build_graph, corrupt_features,
                     generate_planted_partition, inject_edge_noise, load_graph,
                     save_graph_json, validate_graph, write_edge_list)
 from .policy import PolicyParams, PPOConfig, discounted_returns, kl_bernoulli, ppo_update
-from .representation import (AggregatorParams, ClassifierParams, aggregate, classify,
-                             f_c_score, micro_f1, train_representation)
-from .submodular import (CheckReport, CoverageFunction, SelectionRewardFunction, ModularFunction,
-                         SetFunction, brute_force_optimal, check_monotone, check_submodular,
+from .representation import (AggregatorParams, ClassifierParams, aggregate, f_c_score,
+                             micro_f1, train_representation)
+from .submodular import (CheckReport, CoverageFunction, SelectionRewardFunction, SetFunction,
+                         brute_force_optimal, check_monotone, check_submodular,
                          greedy_maximize)
 from .trainer import (SelectionReport, TrainConfig, TrainResult, evaluate,
                       export_denoised_graph, selection_report, train)

@@ -112,6 +112,17 @@ def _load_graph(args):
                       features_path=args.features, labels_path=args.labels)
 
 
+def _load_graph_and_model(args):
+    """The graph and the checkpoint's policy, aggregator and classifier; a
+    checkpoint of another feature width than the graph's is a ValueError."""
+    g = _load_graph(args)
+    policy, agg, clf, _ = trainer.load_checkpoint(args.checkpoint)
+    if agg.feature_dim != g.feature_dim:
+        raise ValueError(f"checkpoint expects {agg.feature_dim} features per node, "
+                         f"graph has {g.feature_dim}")
+    return g, policy, agg, clf
+
+
 def _build_config(args):
     """defaults < --config file < explicit flags."""
     base = trainer.TrainConfig().to_dict()
@@ -185,8 +196,7 @@ def cmd_train(args):
 
 
 def cmd_eval(args):
-    g = _load_graph(args)
-    policy, agg, clf, _ = trainer.load_checkpoint(args.checkpoint)
+    g, policy, agg, clf = _load_graph_and_model(args)
     score = trainer.evaluate(policy, agg, clf, g, args.mask, args.selection)
     out = os.path.join(args.out_dir, "eval.json")
     _write_json(out, {"mask": args.mask, "selection": args.selection, "micro_f1": score})
@@ -195,8 +205,7 @@ def cmd_eval(args):
 
 
 def cmd_denoise(args):
-    g = _load_graph(args)
-    policy, agg, clf, _ = trainer.load_checkpoint(args.checkpoint)
+    g, policy, agg, _ = _load_graph_and_model(args)
     edges_out = os.path.join(args.out_dir, "denoised_edges.txt")
     denoised = trainer.export_denoised_graph(policy, agg, g, edges_out, args.selection)
     save_graph_json(denoised, os.path.join(args.out_dir, "denoised_graph.json"))
@@ -205,8 +214,7 @@ def cmd_denoise(args):
 
 
 def cmd_report(args):
-    g = _load_graph(args)
-    policy, agg, clf, _ = trainer.load_checkpoint(args.checkpoint)
+    g, policy, agg, _ = _load_graph_and_model(args)
     report = trainer.selection_report(policy, agg, g, args.selection)
     out = os.path.join(args.out_dir, "selection_report.json")
     with open(out, "w", encoding="utf-8") as fh:

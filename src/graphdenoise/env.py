@@ -62,14 +62,15 @@ class EpisodeState:
     h_v: np.ndarray  # current embedding of the target
 
     def candidate_scores(self, policy):
-        """Priority score and state row [h_v, h_u] of every pending candidate.
-
-        The scores come from the policy stack without the final sigmoid, so
-        candidate ordering and the accept/reject decision share every weight.
-        """
+        """Priority score, accept probability (the score's sigmoid) and state
+        row [h_v, h_u] of every pending candidate, so candidate ordering and
+        the accept/reject decision share every weight of the policy stack."""
         states = np.hstack([np.broadcast_to(self.h_v, self.cand_embed.shape),
                             self.cand_embed])
-        return policy_mod.policy_scores_batch(policy, states), states
+        scores = policy_mod.policy_scores_batch(policy, states)
+        if not np.isfinite(scores).all():
+            raise ValueError("non-finite candidate score")
+        return scores, nn.sigmoid(scores), states
 
     def take(self, i):
         """Remove pending candidate i from the episode and return its id."""
@@ -88,10 +89,9 @@ def init_episode(graph, v, agg):
     if not 0 <= v < graph.num_nodes:
         raise ValueError(f"node {v} outside [0, {graph.num_nodes})")
     neighbors = [int(u) for u in graph.neighbors(v)]
-    # END carries an all-zero feature vector; it is embedded apart because a
-    # zero row in the neighbors' matmul changes their rounding
+    # END carries an all-zero feature vector, so its embedding relu(W 0) is zero
     cand_embed = np.vstack([rep.embed_means(agg, graph.features[graph.neighbors(v)]),
-                            rep.aggregate(agg, np.zeros(graph.feature_dim), [])])
+                            np.zeros(agg.embed_dim)])
     h_v = rep.aggregate(agg, graph.features[v], [])
     return EpisodeState(target=int(v), selected=[], candidates=neighbors + [END],
                         cand_embed=cand_embed, h_v=h_v)
@@ -114,17 +114,13 @@ def rollout(graph, v, policy, agg, clf, rng, max_steps=None, fc_mode="soft"):
     terminated = TERMINATED_EXHAUSTED
     score_sum = 0.0
     while len(transitions) < max_steps and len(state.candidates) > 1:
-        scores, states = state.candidate_scores(policy)
-        if not np.isfinite(scores).all():
-            raise ValueError("non-finite candidate score")
+        scores, probs, states = state.candidate_scores(policy)
         i = int(rng.choice(len(scores), p=nn.softmax(scores)))
         u = state.take(i)
         if u == END:
             terminated = TERMINATED_ENDING
             break
-        # shared weights make pi(1|s) the sigmoid of the priority score
-        prob = float(nn.sigmoid(np.array([scores[i]]))[0])
-        action, log_prob = policy_mod.sample_action(prob, rng)
+        action, log_prob = policy_mod.sample_action(probs[i], rng)
         reward = 0.0
         if action == 1:
             score = rep.f_c_score(clf, agg, graph.features[v], [graph.features[u]],

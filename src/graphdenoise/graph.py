@@ -13,6 +13,7 @@ every producer returns a fresh value, so graphs can be shared freely.
 from __future__ import annotations
 
 import json
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -73,6 +74,13 @@ def _sources(indptr):
     return np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
 
 
+def _node_count(n):
+    """n as an int; a bool, a non-integer or a negative n is a GraphError."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 0:
+        raise GraphError(f"n must be a non-negative integer, got {n!r}")
+    return int(n)
+
+
 def build_graph(num_nodes, edges, features, labels, masks=None, split_seed=0):
     """Assemble and validate a Graph.
 
@@ -81,7 +89,7 @@ def build_graph(num_nodes, edges, features, labels, masks=None, split_seed=0):
     self-loops are dropped. When masks is None a stratified 60/20/20 split
     (seeded) is generated.
     """
-    n = int(num_nodes)
+    n = _node_count(num_nodes)
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2 or features.shape[0] != n:
         raise GraphError(f"features must be ({n}, D), got {features.shape}")
@@ -204,7 +212,7 @@ def load_graph(path, fmt="json", features_path=None, labels_path=None, split_see
         features = blob.get("features")
         if features is None:
             # attribute-free graph: fall back to one-hot identity features
-            features = np.eye(int(blob["n"]))
+            features = np.eye(_node_count(blob["n"]))
         return build_graph(blob["n"], blob["edges"], features, blob["labels"],
                            masks=blob.get("masks"), split_seed=split_seed)
     if fmt == "edge-list+features":

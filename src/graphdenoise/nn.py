@@ -3,7 +3,7 @@
 All math runs in float64 numpy. A perceptron here is a list of weight
 matrices applied as ``x -> W0 x -> relu -> W1 x -> ... -> Wlast x -> head``
 with no bias terms anywhere. Forward passes return a cache of the layer
-inputs and pre-activations so the matching backward pass can run without a
+inputs and pre-ReLU values so the matching backward pass can run without a
 tape.
 """
 
@@ -19,6 +19,7 @@ HEADS = ("linear", "sigmoid", "softmax")
 
 # Keeps sigmoid outputs strictly inside (0, 1) in float64 even for huge logits.
 _SIGMOID_FLOOR = 1e-15
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # moment decay rates, denominator guard
 
 
 def relu(x):
@@ -28,12 +29,9 @@ def relu(x):
 def sigmoid(z):
     """Numerically stable logistic function, strictly inside (0, 1)."""
     z = np.asarray(z, dtype=np.float64)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return np.clip(out, _SIGMOID_FLOOR, 1.0 - _SIGMOID_FLOOR)
+    ez = np.exp(-np.abs(z))  # never overflows: 1 / (1 + e^-z) for z >= 0, e^z / (1 + e^z) below
+    out = np.where(z >= 0, 1.0, ez) / (1.0 + ez)
+    return np.minimum(np.maximum(out, _SIGMOID_FLOOR), 1.0 - _SIGMOID_FLOOR)
 
 
 def softmax(logits, axis=-1):
@@ -92,8 +90,8 @@ def init_mlp(layer_sizes, rng):
 
 @dataclass
 class MlpCache:
-    inputs: list  # activation entering each layer, inputs[0] is x
-    pre: list  # pre-activation per layer
+    inputs: list  # value entering each layer, inputs[0] is x
+    pre: list  # pre-ReLU value per layer
     head: str
     output: np.ndarray
 
@@ -112,8 +110,6 @@ def mlp_forward_batch(params, x, head="linear"):
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != params.in_dim:
         raise ValueError(f"input shape {x.shape} incompatible with in_dim {params.in_dim}")
-    if not np.isfinite(x).all():
-        raise ValueError("non-finite input")
     inputs, pre = [], []
     a = x
     last = len(params.weights) - 1
@@ -165,6 +161,8 @@ def mlp_forward(params, x, head="linear"):
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1:
         raise ValueError("mlp_forward expects a 1-d input vector")
+    if not np.isfinite(x).all():
+        raise ValueError("non-finite input")
     out, cache = mlp_forward_batch(params, x[None, :], head=head)
     return out[0], cache
 
@@ -182,21 +180,17 @@ class AdamState:
     """Adaptive-moment accumulators for a list of parameter matrices."""
 
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
     m: list = field(default_factory=list)
     v: list = field(default_factory=list)
 
     def copy(self):
-        return AdamState(self.lr, self.beta1, self.beta2, self.eps, self.step,
-                         [a.copy() for a in self.m], [a.copy() for a in self.v])
+        return AdamState(self.lr, self.step, [a.copy() for a in self.m],
+                         [a.copy() for a in self.v])
 
 
-def adam_init(params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
-    return AdamState(lr=lr, beta1=beta1, beta2=beta2, eps=eps, step=0,
-                     m=[np.zeros_like(p) for p in params],
+def adam_init(params, lr=1e-3):
+    return AdamState(lr=lr, m=[np.zeros_like(p) for p in params],
                      v=[np.zeros_like(p) for p in params])
 
 
@@ -218,11 +212,11 @@ def adam_step(state, params, grads, direction="minimize"):
         if g.shape != p.shape or state.m[i].shape != p.shape:
             raise ValueError(f"shape mismatch at parameter {i}: {p.shape} vs {g.shape}")
         g = sign * g
-        state.m[i] = state.beta1 * state.m[i] + (1.0 - state.beta1) * g
-        state.v[i] = state.beta2 * state.v[i] + (1.0 - state.beta2) * g * g
-        mhat = state.m[i] / (1.0 - state.beta1 ** t)
-        vhat = state.v[i] / (1.0 - state.beta2 ** t)
-        out.append(p - state.lr * mhat / (np.sqrt(vhat) + state.eps))
+        state.m[i] = ADAM_BETA1 * state.m[i] + (1.0 - ADAM_BETA1) * g
+        state.v[i] = ADAM_BETA2 * state.v[i] + (1.0 - ADAM_BETA2) * g * g
+        mhat = state.m[i] / (1.0 - ADAM_BETA1 ** t)
+        vhat = state.v[i] / (1.0 - ADAM_BETA2 ** t)
+        out.append(p - state.lr * mhat / (np.sqrt(vhat) + ADAM_EPS))
     return out
 
 

@@ -1,10 +1,11 @@
 """Mean-aggregator node embeddings, the softmax classifier, per-node task
 scores, and micro-averaged F1.
 
-A node's embedding is act(W @ mean({x_v} union neighbor features)); with no
-neighbors the mean collapses to the node's own feature vector. The
-classifier is a linear softmax head over embeddings, trained jointly with
-the aggregator by cross-entropy on training nodes only.
+A node's embedding is relu(W @ mean({x_v} union neighbor features)); with no
+neighbors the mean collapses to the node's own feature vector. The classifier
+is a linear softmax head over embeddings, trained jointly with the aggregator
+by cross-entropy on training nodes only. That maths runs only in embed_means
+and classify_batch; single nodes go through them as one-row batches.
 """
 
 from __future__ import annotations
@@ -15,18 +16,13 @@ import numpy as np
 
 from . import nn
 
-ACTIVATIONS = ("relu", "tanh")
-
 
 @dataclass
 class AggregatorParams:
     W: np.ndarray  # (embed_dim, feature_dim)
-    activation: str = "relu"
 
     def __post_init__(self):
         self.W = np.asarray(self.W, dtype=np.float64)
-        if self.activation not in ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.activation!r}")
 
     @property
     def embed_dim(self):
@@ -37,7 +33,7 @@ class AggregatorParams:
         return self.W.shape[1]
 
     def copy(self):
-        return AggregatorParams(self.W.copy(), self.activation)
+        return AggregatorParams(self.W.copy())
 
 
 @dataclass
@@ -55,20 +51,12 @@ class ClassifierParams:
         return ClassifierParams(self.V.copy())
 
 
-def init_aggregator(embed_dim, feature_dim, rng, activation="relu"):
-    return AggregatorParams(nn.glorot(embed_dim, feature_dim, rng), activation)
+def init_aggregator(embed_dim, feature_dim, rng):
+    return AggregatorParams(nn.glorot(embed_dim, feature_dim, rng))
 
 
 def init_classifier(num_classes, embed_dim, rng):
     return ClassifierParams(nn.glorot(num_classes, embed_dim, rng))
-
-
-def _act(agg, z):
-    return np.tanh(z) if agg.activation == "tanh" else nn.relu(z)
-
-
-def _act_grad(agg, z, h):
-    return 1.0 - h * h if agg.activation == "tanh" else (z > 0).astype(np.float64)
 
 
 def mean_with_self(x, neighbor_features):
@@ -90,21 +78,13 @@ def aggregate(agg, x, neighbor_features):
     m = mean_with_self(x, neighbor_features)
     if m.shape[0] != agg.feature_dim:
         raise ValueError(f"feature dim {m.shape[0]} != aggregator dim {agg.feature_dim}")
-    return _act(agg, agg.W @ m)
+    return embed_means(agg, m[None])[0]
 
 
 def embed_means(agg, means):
-    """Batch form of aggregate for precomputed mean vectors, shape (m, D)."""
-    means = np.asarray(means, dtype=np.float64)
-    return _act(agg, means @ agg.W.T)
-
-
-def classify(clf, h):
-    """Class probability vector for one embedding."""
-    h = np.asarray(h, dtype=np.float64)
-    if h.shape[0] != clf.V.shape[1]:
-        raise ValueError(f"embedding dim {h.shape[0]} != classifier dim {clf.V.shape[1]}")
-    return nn.softmax(clf.V @ h)
+    """Embeddings relu(W m), one row per row of the (m, D) mean vectors."""
+    z = np.asarray(means, dtype=np.float64) @ agg.W.T
+    return np.maximum(z, 0.0, out=z)  # in place: a second buffer slowed the fit
 
 
 def classify_batch(clf, H):
@@ -123,7 +103,7 @@ def f_c_score(clf, agg, x, neighbor_features, true_label, mode="soft"):
     true_label = int(true_label)
     if not 0 <= true_label < clf.num_classes:
         raise ValueError(f"label {true_label} outside [0, {clf.num_classes})")
-    probs = classify(clf, aggregate(agg, x, neighbor_features))
+    probs = classify_batch(clf, aggregate(agg, x, neighbor_features)[None])[0]
     if mode == "hard":
         return 1.0 if int(np.argmax(probs)) == true_label else 0.0
     return float(probs[true_label])
@@ -157,14 +137,13 @@ def prediction_loss_grads(agg, clf, means, labels):
     """Mean cross-entropy over a batch of precomputed mean vectors.
 
     Returns (loss, dL/dW, dL/dV) by reverse accumulation through the
-    classifier head, the activation, and the aggregator matrix.
+    classifier head, the relu, and the aggregator matrix.
     """
     means = np.asarray(means, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     m = means.shape[0]
-    z = means @ agg.W.T
-    h = _act(agg, z)
-    probs = nn.softmax(h @ clf.V.T, axis=1)
+    h = embed_means(agg, means)
+    probs = classify_batch(clf, h)
     picked = np.clip(probs[np.arange(m), labels], 1e-300, None)
     loss = float(-np.log(picked).mean())
 
@@ -173,7 +152,7 @@ def prediction_loss_grads(agg, clf, means, labels):
     dlogits /= m
     d_v = dlogits.T @ h
     dh = dlogits @ clf.V
-    dz = dh * _act_grad(agg, z, h)
+    dz = dh * (h > 0).astype(np.float64)  # a float mask multiplies faster than a bool
     d_w = dz.T @ means
     return loss, d_w, d_v
 

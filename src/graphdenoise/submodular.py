@@ -60,17 +60,6 @@ class LambdaSetFunction(SetFunction):
         return float(self._fn(frozenset(subset)))
 
 
-class ModularFunction(SetFunction):
-    """Additive item values; the textbook case where greedy is exactly optimal."""
-
-    def __init__(self, values, k_max):
-        super().__init__(values.keys(), k_max)
-        self.values = {int(k): float(v) for k, v in values.items()}
-
-    def evaluate(self, subset):
-        return sum(self.values[i] for i in subset)
-
-
 class CoverageFunction(SetFunction):
     """Weighted coverage: f(A) = total weight of universe elements covered by A."""
 

@@ -41,7 +41,6 @@ class TrainConfig:
     policy_hidden: tuple = (64, 36)
     ppo: PPOConfig = field(default_factory=PPOConfig)
     fc_mode: str = "soft"
-    activation: str = "relu"
     rollouts_per_node: int = 1
     max_steps: int | None = None  # per-episode decision cap; None = degree + 1
     select_all: bool = False
@@ -115,7 +114,7 @@ def init_params(graph, cfg):
     policy = policy_mod.init_policy(2 * cfg.embed_dim, cfg.policy_hidden,
                                     spawn_rng(cfg.seed, _K_INIT_POLICY))
     agg = rep.init_aggregator(cfg.embed_dim, graph.feature_dim,
-                              spawn_rng(cfg.seed, _K_INIT_AGG), cfg.activation)
+                              spawn_rng(cfg.seed, _K_INIT_AGG))
     clf = rep.init_classifier(graph.num_classes, cfg.embed_dim,
                               spawn_rng(cfg.seed, _K_INIT_CLF))
     return policy, agg, clf
@@ -196,12 +195,12 @@ def greedy_select(graph, v, policy, agg):
     """
     state = env.init_episode(graph, v, agg)
     while len(state.candidates) > 1:
-        scores, _ = state.candidate_scores(policy)
+        scores, probs, _ = state.candidate_scores(policy)
         i = int(np.argmax(scores))
         u = state.take(i)
         if u == env.END:
             break
-        if nn.sigmoid(np.array([scores[i]]))[0] >= 0.5:
+        if probs[i] >= 0.5:
             state.accept(graph, agg, u)
     return state.selected
 
@@ -234,8 +233,11 @@ def evaluate(policy, agg, clf, graph, mask="test", selection="policy"):
         nodes = np.asarray(mask, dtype=np.int64)
     if nodes.size == 0:
         raise ValueError("evaluation mask is empty")
+    labels = graph.labels[nodes]
+    if labels.max() >= clf.num_classes:
+        raise ValueError(f"label {labels.max()} outside the classifier's {clf.num_classes} classes")
     preds = predict(policy, agg, clf, graph, nodes, selection)
-    return rep.micro_f1(preds, graph.labels[nodes])
+    return rep.micro_f1(preds, labels)
 
 
 def export_denoised_graph(policy, agg, graph, path, selection="policy"):
@@ -266,10 +268,8 @@ def selection_report(policy, agg, graph, selection="policy"):
 
 def save_checkpoint(path, policy, agg, clf, config=None):
     arrays = {f"policy.w{i}": w for i, w in enumerate(policy.mlp.weights)}
-    arrays["agg.W"] = agg.W
-    arrays["clf.V"] = clf.V
-    extra = {"config": config or {}, "activation": agg.activation}
-    nn.save_arrays(path, arrays, extra)
+    arrays.update({"agg.W": agg.W, "clf.V": clf.V})
+    nn.save_arrays(path, arrays, {"config": config or {}})
 
 
 def load_checkpoint(path):
@@ -277,7 +277,7 @@ def load_checkpoint(path):
     layer_names = sorted((n for n in arrays if n.startswith("policy.w")),
                          key=lambda n: int(n.split("w")[-1]))
     policy = policy_mod.PolicyParams(nn.MlpParams([arrays[n] for n in layer_names]))
-    agg = rep.AggregatorParams(arrays["agg.W"], extra.get("activation", "relu"))
+    agg = rep.AggregatorParams(arrays["agg.W"])
     clf = rep.ClassifierParams(arrays["clf.V"])
     return policy, agg, clf, extra.get("config", {})
 

@@ -178,6 +178,7 @@ def test_unknown_config_key_is_validation_error(tmp_path, capsys):
     ({"rep_lr": "fast"}, "rep_lr"),
     ({"select_all": "no"}, "select_all"),
     ({"outer_iters": "x"}, "outer_iters"),
+    ({"activation": "tanh"}, "activation"),
 ])
 def test_config_shape_is_validation_error(tmp_path, capsys, overrides, named):
     assert run(synth_args(tmp_path)) == 0
@@ -196,6 +197,12 @@ def test_config_shape_is_validation_error(tmp_path, capsys, overrides, named):
     ({"masks": {"train": [True, False, False], "test": [False, False, True]}},
      "train, val and test to vectors ('val')"),
     ({"masks": 5}, "masks must map train, val and test"),
+    ({"n": 2.5}, "n must be a non-negative integer"),
+    ({"n": "3"}, "n must be a non-negative integer"),
+    ({"n": True}, "n must be a non-negative integer"),
+    ({"n": -1}, "n must be a non-negative integer"),
+    ({"n": "3", "features": None}, "n must be a non-negative integer"),
+    ({"n": 2.5, "features": None}, "n must be a non-negative integer"),
 ])
 def test_malformed_graph_json_is_validation_error(tmp_path, capsys, change, named):
     blob = {"n": 3, "edges": [[0, 1], [1, 2]], "features": [[1.0], [0.0], [1.0]],
@@ -205,6 +212,33 @@ def test_malformed_graph_json_is_validation_error(tmp_path, capsys, change, name
     path.write_text(json.dumps(blob))
     assert run(["noise", "--graph", str(path), "--out-dir", str(tmp_path / "out")]) == 1
     assert named in capsys.readouterr().err
+
+
+def _init_checkpoint(tmp_path, name, classes, dim):
+    """Synthesize a graph and write its zero-iteration checkpoint; returns both paths."""
+    out = tmp_path / name
+    assert run(["synth", "--n", "60", "--classes", str(classes), "--p-in", "0.3",
+                "--dim", str(dim), "--seed", "1", "--out-dir", str(out)]) == 0
+    assert run(["train", "--graph", str(out / "graph.json"), "--iters", "0",
+                "--embed-dim", "4", "--out-dir", str(out)]) == 0
+    return out / "graph.json", out / "checkpoint.json"
+
+
+def test_eval_rejects_labels_beyond_checkpoint_classes(tmp_path, capsys):
+    _, ckpt = _init_checkpoint(tmp_path, "two", classes=2, dim=6)
+    graph, _ = _init_checkpoint(tmp_path, "six", classes=6, dim=6)
+    assert run(["eval", "--graph", str(graph), "--checkpoint", str(ckpt),
+                "--out-dir", str(tmp_path / "out")]) == 1
+    assert "outside the classifier's 2 classes" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["eval", "denoise", "report"])
+def test_checkpoint_feature_width_mismatch_is_validation_error(tmp_path, capsys, command):
+    _, ckpt = _init_checkpoint(tmp_path, "wide", classes=2, dim=6)
+    graph, _ = _init_checkpoint(tmp_path, "narrow", classes=2, dim=4)
+    assert run([command, "--graph", str(graph), "--checkpoint", str(ckpt),
+                "--out-dir", str(tmp_path / "out")]) == 1
+    assert "checkpoint expects 6 features per node, graph has 4" in capsys.readouterr().err
 
 
 def test_config_is_a_train_only_option():

@@ -74,8 +74,9 @@ def test_regret_scores_zero_weights_are_zero_and_softmax_uniform():
     g, agg, _, _ = make_setup()
     policy = policy_mod.PolicyParams(nn.MlpParams([np.zeros((4, 12)), np.zeros((1, 4))]))
     state = env.init_episode(g, 0, agg)
-    scores, _ = state.candidate_scores(policy)
+    scores, probs, _ = state.candidate_scores(policy)
     assert np.all(scores == 0.0)
+    assert np.all(probs == 0.5)
     assert np.allclose(nn.softmax(scores), 1.0 / len(state.candidates))
 
 
@@ -86,23 +87,25 @@ def test_regret_scores_identical_features_tie():
     agg = rep.init_aggregator(4, 2, rng)
     policy = policy_mod.init_policy(8, (6, 4), rng)
     state = env.init_episode(g, 0, agg)
-    scores, _ = state.candidate_scores(policy)
+    scores, _, _ = state.candidate_scores(policy)
     assert scores[0] == pytest.approx(scores[1], abs=1e-12)
 
 
 def test_regret_scores_match_per_candidate_forward():
     g, agg, _, policy = make_setup(seed=4)
     state = env.init_episode(g, 1, agg)
-    scores, states = state.candidate_scores(policy)
+    scores, probs, states = state.candidate_scores(policy)
     for i in range(len(state.candidates)):
         s = np.concatenate([state.h_v, state.cand_embed[i]])
         assert np.array_equal(states[i], s)
         out, _ = nn.mlp_forward(policy.mlp, s, head="linear")
         assert scores[i] == pytest.approx(out[0], abs=1e-12)
+        # the accept probability is the sigmoid of the score, bit for bit
+        assert probs[i] == nn.sigmoid(np.array([scores[i]]))[0]
     # taking a candidate drops its id and its embedding row together
     first = state.candidates[0]
     assert state.take(0) == first
-    rest, _ = state.candidate_scores(policy)
+    rest, _, _ = state.candidate_scores(policy)
     assert first not in state.candidates
     assert np.allclose(rest, scores[1:], atol=1e-12)
 
@@ -152,6 +155,8 @@ def test_sample_next_candidate_rejects_non_finite():
     policy.mlp.weights[-1][:] = np.inf
     with np.errstate(invalid="ignore"), pytest.raises(ValueError):
         env.rollout(g, v, policy, agg, clf, np.random.default_rng(0))
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError):
+        trainer.greedy_select(g, v, policy, agg)
 
 
 def test_step_first_acceptance_reward_is_exactly_one():
@@ -284,14 +289,17 @@ def test_state_vectors_always_twice_embedding_dim(tmp_path):
 
 
 # Decisions of the seeded episode below, recorded before the episode API was
-# folded into EpisodeState. Any change to how an episode scores, orders,
-# samples or accepts candidates shows up here as a changed decision.
+# folded into EpisodeState, with each transition's reward as an exact float.
+# Any change to how an episode scores, orders, samples or accepts candidates,
+# or to the reward's arithmetic, shows up here as a changed tuple.
 PINNED_ROLLOUTS = {
-    2: [(5, 0), (22, 1), (16, 0)],
-    5: [(19, 0), (2, 1), (16, 1)],
-    11: [(2, 1), (15, 0)],
-    17: [(22, 1), (13, 1), (8, 1), (19, 1), (2, 0)],
-    21: [(19, 1), (22, 0), (14, 0), (9, 0), (8, 1), (20, 0)],
+    2: [(5, 0, 0.0), (22, 1, 1.0), (16, 0, 0.0)],
+    5: [(19, 0, 0.0), (2, 1, 1.0), (16, 1, 0.5195883832605166)],
+    11: [(2, 1, 1.0), (15, 0, 0.0)],
+    17: [(22, 1, 1.0), (13, 1, 0.6290598285850706), (8, 1, 0.3579336906254477),
+         (19, 1, 0.23372135244635628), (2, 0, 0.0)],
+    21: [(19, 1, 1.0), (22, 0, 0.0), (14, 0, 0.0), (9, 0, 0.0), (8, 1, 0.5435648901362226),
+         (20, 0, 0.0)],
 }
 PINNED_GREEDY = {
     0: [4], 1: [19, 2], 2: [22, 1], 3: [17, 1], 4: [8], 5: [2, 16], 6: [23, 17],
@@ -307,7 +315,7 @@ def test_episode_decisions_are_pinned():
     policy = policy_mod.init_policy(12, (8, 5), rng)
     for v, decisions in PINNED_ROLLOUTS.items():
         traj = env.rollout(g, v, policy, agg, clf, np.random.default_rng(100 + v))
-        assert [(t.candidate, t.action) for t in traj.transitions] == decisions
+        assert [(t.candidate, t.action, t.reward) for t in traj.transitions] == decisions
         assert traj.terminated_by == env.TERMINATED_ENDING
     for v in range(g.num_nodes):
         assert trainer.greedy_select(g, v, policy, agg) == PINNED_GREEDY.get(v, [])

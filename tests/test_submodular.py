@@ -6,11 +6,15 @@ from graphdenoise import policy as policy_mod
 from graphdenoise import representation as rep
 from graphdenoise.graph import generate_planted_partition
 from graphdenoise.submodular import (CoverageFunction, SelectionRewardFunction,
-                                     LambdaSetFunction, ModularFunction,
-                                     brute_force_optimal, check_monotone,
+                                     LambdaSetFunction, brute_force_optimal, check_monotone,
                                      check_submodular, greedy_maximize)
 
 BOUND = 1.0 - 1.0 / np.e
+
+
+def modular(values, k_max):
+    """Additive item values; the textbook case where greedy is exactly optimal."""
+    return LambdaSetFunction(values.keys(), lambda s: sum(values[i] for i in s), k_max)
 
 
 def make_reward_fn(seed=0, embed=8, fc_mode="soft", min_degree=3, max_degree=None):
@@ -26,27 +30,27 @@ def make_reward_fn(seed=0, embed=8, fc_mode="soft", min_degree=3, max_degree=Non
 
 
 def test_greedy_modular_returns_top_k_items():
-    f = ModularFunction({0: 5.0, 1: 1.0, 2: 3.0, 3: 4.0}, k_max=2)
+    f = modular({0: 5.0, 1: 1.0, 2: 3.0, 3: 4.0}, k_max=2)
     subset, value = greedy_maximize(f)
     assert subset == frozenset({0, 3})
     assert value == 9.0
 
 
 def test_greedy_full_cardinality_reaches_ground_value():
-    f = ModularFunction({i: float(i + 1) for i in range(5)}, k_max=5)
+    f = modular({i: float(i + 1) for i in range(5)}, k_max=5)
     subset, value = greedy_maximize(f)
     assert subset == frozenset(range(5))
     assert value == f.evaluate(frozenset(range(5)))
 
 
 def test_greedy_stops_at_no_positive_gain():
-    f = ModularFunction({0: 2.0, 1: -1.0, 2: 0.5}, k_max=3)
+    f = modular({0: 2.0, 1: -1.0, 2: 0.5}, k_max=3)
     subset, _ = greedy_maximize(f)
     assert subset == frozenset({0, 2})
 
 
 def test_greedy_tie_breaks_toward_smallest_id():
-    f = ModularFunction({3: 1.0, 7: 1.0, 9: 1.0}, k_max=2)
+    f = modular({3: 1.0, 7: 1.0, 9: 1.0}, k_max=2)
     subset, _ = greedy_maximize(f)
     assert subset == frozenset({3, 7})
 
@@ -70,7 +74,7 @@ def test_brute_force_modular_matches_greedy():
     for _ in range(10):
         values = {i: float(rng.uniform(0.1, 5.0)) for i in range(8)}
         k = int(rng.integers(1, 8))
-        f = ModularFunction(values, k_max=k)
+        f = modular(values, k_max=k)
         g_set, g_val = greedy_maximize(f)
         b_set, b_val = brute_force_optimal(f)
         assert g_set == b_set
@@ -87,7 +91,7 @@ def test_brute_force_relabeling_invariance():
 
 
 def test_brute_force_rejects_large_ground():
-    f = ModularFunction({i: 1.0 for i in range(21)}, k_max=2)
+    f = modular({i: 1.0 for i in range(21)}, k_max=2)
     with pytest.raises(ValueError):
         brute_force_optimal(f)
 

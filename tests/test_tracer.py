@@ -2,10 +2,12 @@ import importlib
 import importlib.util
 import os
 
+PERFBENCH = os.path.join(os.path.dirname(__file__), "..", "perfbench")
 
-def load_tracer():
-    path = os.path.join(os.path.dirname(__file__), "..", "perfbench", "tracer.py")
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+
+def load_perfbench(name):
+    path = os.path.join(PERFBENCH, f"{name}.py")
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -14,10 +16,20 @@ def load_tracer():
 def test_traced_functions_are_library_attributes():
     # the benchmark's --trace 1 wraps these by identity; a renamed or
     # replaced library function would leave its span silently empty
-    tracer = load_tracer()
+    tracer = load_perfbench("tracer")
     targets = [fn for fn, _, _ in tracer._TARGETS] + [fn for fn, _ in tracer._COUNTED]
     assert targets
     for fn in targets:
         module = importlib.import_module(fn.__module__)
         assert module.__name__.startswith("graphdenoise.")
         assert getattr(module, fn.__name__, None) is fn, f"{fn.__module__}.{fn.__name__}"
+
+
+def test_benchmark_configs_construct(monkeypatch):
+    # the benchmark builds its training configs by field name; a removed
+    # config field fails here instead of in a benchmark run
+    monkeypatch.syspath_prepend(PERFBENCH)  # workloads imports gen as a top-level module
+    workloads = load_perfbench("workloads")
+    train_cfg, base_cfg = workloads._denoise_configs(0)
+    assert not train_cfg.select_all and base_cfg.select_all
+    assert workloads._checkpoint_config().outer_iters == 10
