@@ -97,23 +97,19 @@ def init_episode(graph, v, agg):
                         cand_embed=cand_embed, h_v=h_v)
 
 
-def rollout(graph, v, policy, agg, clf, rng, max_steps=None, fc_mode="soft"):
+def rollout(graph, v, policy, agg, clf, rng, fc_mode="soft"):
     """Run one full episode for node v under the (frozen) parameters.
 
     An accept scores the neighbor once and pays marginal_reward against the
     selected set's running score total; a reject pays 0. Stops when the
-    ending candidate is drawn, the real candidates are exhausted, or
-    max_steps decisions have been made.
+    ending candidate is drawn or the real candidates are exhausted, so an
+    episode makes at most deg(v) decisions.
     """
     state = init_episode(graph, v, agg)
-    if max_steps is None:
-        max_steps = graph.degree(v) + 1
-    if max_steps < 1:
-        raise ValueError(f"max_steps must be >= 1, got {max_steps}")
     transitions = []
     terminated = TERMINATED_EXHAUSTED
     score_sum = 0.0
-    while len(transitions) < max_steps and len(state.candidates) > 1:
+    while len(state.candidates) > 1:
         scores, probs, states = state.candidate_scores(policy)
         i = int(rng.choice(len(scores), p=nn.softmax(scores)))
         u = state.take(i)

@@ -281,6 +281,10 @@ def generate_planted_partition(n, classes, p_in, p_out, dim, signal_strength, se
     """
     if not (0.0 <= p_out <= p_in <= 1.0):
         raise GraphError(f"need 0 <= p_out <= p_in <= 1, got p_in={p_in}, p_out={p_out}")
+    if classes < 1:
+        raise GraphError(f"classes must be >= 1, got {classes}")
+    if n < 0:
+        raise GraphError(f"n must be >= 0, got {n}")
     if n % classes != 0:
         raise GraphError(f"n={n} not divisible by classes={classes}")
     if dim < classes:

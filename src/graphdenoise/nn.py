@@ -248,6 +248,8 @@ def load_arrays(path):
         blob = json.load(fh)
     if blob.get("version") != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {blob.get('version')!r}")
+    if not isinstance(blob.get("arrays"), dict):
+        raise ValueError("checkpoint has no 'arrays' object")
     out = {}
     for name, entry in blob["arrays"].items():
         arr = np.array(entry["data"], dtype=np.float64).reshape(entry["shape"])

@@ -95,8 +95,7 @@ def kl_bernoulli(p_old, p_new):
 def check_field_types(cfg):
     """Raise ValueError naming the first int, float or bool field of a config
     dataclass whose value has another type; a bool is neither int nor float."""
-    kinds = {"int": numbers.Integral, "int | None": (numbers.Integral, type(None)),
-             "float": numbers.Real, "bool": bool}
+    kinds = {"int": numbers.Integral, "float": numbers.Real, "bool": bool}
     for f in fields(cfg):
         value = getattr(cfg, f.name)
         if f.type in kinds and (not isinstance(value, kinds[f.type])

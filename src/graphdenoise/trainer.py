@@ -5,9 +5,9 @@ Each outer iteration first freezes the policy and rolls out selection sets
 for every training node to fit the aggregator + classifier, then freezes
 those and runs a PPO round on freshly collected trajectories. Validation
 micro-F1 is logged per iteration and the best-validation parameters are the
-ones returned. Evaluation decodes greedily (priority-ordered candidates,
-accept iff the selection probability is at least 0.5, stop at the ending
-candidate), so it is deterministic and works for nodes unseen in training.
+ones returned. Evaluation decodes greedily (accept the top-priority candidate
+while its selection probability is at least 0.5, else stop), so it is
+deterministic and works for nodes unseen in training.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ class TrainConfig:
     ppo: PPOConfig = field(default_factory=PPOConfig)
     fc_mode: str = "soft"
     rollouts_per_node: int = 1
-    max_steps: int | None = None  # per-episode decision cap; None = degree + 1
     select_all: bool = False
     seed: int = 0
 
@@ -134,7 +133,7 @@ def train(graph, cfg):
     selection = "all" if cfg.select_all else "policy"
 
     policy, agg, clf = init_params(graph, cfg)
-    best = (policy.copy(), agg.copy(), clf.copy())
+    best = (policy, agg, clf)
     best_val, best_iter = -np.inf, -1
     history = []
 
@@ -147,8 +146,7 @@ def train(graph, cfg):
             selected = {}
             for v in train_ids:
                 traj = env.rollout(graph, int(v), policy, agg, clf,
-                                   spawn_rng(cfg.seed, _K_SELECT, it, v),
-                                   max_steps=cfg.max_steps, fc_mode=cfg.fc_mode)
+                                   spawn_rng(cfg.seed, _K_SELECT, it, v), fc_mode=cfg.fc_mode)
                 selected[int(v)] = [t.candidate for t in traj.transitions if t.action == 1]
         agg, clf, losses = rep.train_representation(
             agg, clf, graph, selected, cfg.rep_epochs, cfg.batch_size,
@@ -157,16 +155,14 @@ def train(graph, cfg):
         # phase 2: freeze the representation, improve the policy
         diag = {"mean_kl": 0.0, "mean_return": 0.0, "objective": 0.0}
         if not cfg.select_all:
-            old = policy.copy()
             trajectories = [
-                env.rollout(graph, int(v), old, agg, clf,
-                            spawn_rng(cfg.seed, _K_COLLECT, it, v, r),
-                            max_steps=cfg.max_steps, fc_mode=cfg.fc_mode)
+                env.rollout(graph, int(v), policy, agg, clf,
+                            spawn_rng(cfg.seed, _K_COLLECT, it, v, r), fc_mode=cfg.fc_mode)
                 for v in train_ids for r in range(cfg.rollouts_per_node)]
             trajectories = [t for t in trajectories if t.transitions]
             if trajectories:
                 policy, diag = policy_mod.ppo_update(
-                    policy, old, trajectories, cfg.ppo,
+                    policy, policy, trajectories, cfg.ppo,
                     spawn_rng(cfg.seed, _K_PPO, it))
 
         val_f1 = evaluate(policy, agg, clf, graph, "val", selection) if has_val else float("nan")
@@ -179,7 +175,7 @@ def train(graph, cfg):
             "objective": diag["objective"],
         })
         if (has_val and val_f1 > best_val) or not has_val:
-            best = (policy.copy(), agg.copy(), clf.copy())
+            best = (policy, agg, clf)
             best_val, best_iter = val_f1, it
 
     return TrainResult(best[0], best[1], best[2], history, best_iter)
@@ -188,20 +184,20 @@ def train(graph, cfg):
 def greedy_select(graph, v, policy, agg):
     """Deterministic decode of a node's kept neighbors.
 
-    Candidates are processed in descending priority order; a candidate is
-    kept iff its selection probability is >= 0.5; hitting the ending
-    candidate stops the decode. Never touches labels, so it is safe for
-    val/test nodes.
+    The top-priority candidate is kept while its selection probability is
+    >= 0.5; END, exhaustion or the first reject stops the decode. A reject
+    leaves h_v and every pending score unchanged and the sigmoid is monotone,
+    so no later candidate could be accepted. Never touches labels, so it is
+    safe for val/test nodes.
     """
     state = env.init_episode(graph, v, agg)
     while len(state.candidates) > 1:
         scores, probs, _ = state.candidate_scores(policy)
         i = int(np.argmax(scores))
         u = state.take(i)
-        if u == env.END:
+        if u == env.END or probs[i] < 0.5:
             break
-        if probs[i] >= 0.5:
-            state.accept(graph, agg, u)
+        state.accept(graph, agg, u)
     return state.selected
 
 
@@ -273,13 +269,33 @@ def save_checkpoint(path, policy, agg, clf, config=None):
 
 
 def load_checkpoint(path):
+    """(policy, agg, clf, config) of a save_checkpoint file. A missing or
+    non-matrix array, parts whose shapes do not chain, or an activation other
+    than relu (written by older versions) is a ValueError naming it."""
     arrays, extra = nn.load_arrays(path)
-    layer_names = sorted((n for n in arrays if n.startswith("policy.w")),
-                         key=lambda n: int(n.split("w")[-1]))
-    policy = policy_mod.PolicyParams(nn.MlpParams([arrays[n] for n in layer_names]))
+    config = extra.get("config", {})
+    for activation in (extra.get("activation"), config.get("activation")):
+        if activation not in (None, "relu"):
+            raise ValueError(f"checkpoint activation {activation!r} is not supported; "
+                             "only relu is")
+    num_layers = max(1, sum(n.startswith("policy.w") for n in arrays))
+    names = ["agg.W", "clf.V"] + [f"policy.w{i}" for i in range(num_layers)]
+    missing = [n for n in names if n not in arrays]
+    if missing:
+        raise ValueError(f"checkpoint lacks arrays {', '.join(missing)}")
+    for n in names:
+        if arrays[n].ndim != 2:
+            raise ValueError(f"checkpoint array {n} has shape {arrays[n].shape}, not a matrix")
+    policy = policy_mod.PolicyParams(nn.MlpParams([arrays[n] for n in names[2:]]))
     agg = rep.AggregatorParams(arrays["agg.W"])
     clf = rep.ClassifierParams(arrays["clf.V"])
-    return policy, agg, clf, extra.get("config", {})
+    if clf.V.shape[1] != agg.embed_dim:
+        raise ValueError(f"checkpoint clf.V has {clf.V.shape[1]} columns, "
+                         f"agg.W has {agg.embed_dim} rows")
+    if policy.state_dim != 2 * agg.embed_dim:
+        raise ValueError(f"checkpoint policy takes {policy.state_dim} inputs, "
+                         f"not 2 x {agg.embed_dim} agg.W rows")
+    return policy, agg, clf, config
 
 
 def write_metrics(path, history):

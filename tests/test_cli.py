@@ -34,6 +34,16 @@ def test_synth_rejects_bad_probabilities(tmp_path):
     assert run(args) == 1
 
 
+@pytest.mark.parametrize("flags, named", [
+    (["--classes", "0"], "classes must be >= 1"),
+    (["--classes", "-1"], "classes must be >= 1"),
+    (["--n", "-2"], "n must be >= 0"),
+], ids=["classes-0", "classes-neg", "n-neg"])
+def test_synth_rejects_bad_sizes(tmp_path, capsys, flags, named):
+    assert run(["synth", *flags, "--out-dir", str(tmp_path)]) == 1
+    assert named in capsys.readouterr().err
+
+
 def test_unknown_flag_is_validation_error(tmp_path):
     assert run(["synth", "--does-not-exist", "1"]) == 1
 
@@ -162,10 +172,11 @@ def test_config_file_overrides_defaults_but_not_flags(tmp_path):
 def test_unknown_config_key_is_validation_error(tmp_path, capsys):
     assert run(synth_args(tmp_path)) == 0
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({"threads": 2}))
-    assert run(["train", "--graph", str(tmp_path / "graph.json"),
-                "--config", str(cfg_path), "--out-dir", str(tmp_path / "run")]) == 1
-    assert "threads" in capsys.readouterr().err
+    for key in ("threads", "max_steps"):  # both were config fields once
+        cfg_path.write_text(json.dumps({key: 2}))
+        assert run(["train", "--graph", str(tmp_path / "graph.json"),
+                    "--config", str(cfg_path), "--out-dir", str(tmp_path / "run")]) == 1
+        assert key in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("overrides, named", [
@@ -239,6 +250,36 @@ def test_checkpoint_feature_width_mismatch_is_validation_error(tmp_path, capsys,
     assert run([command, "--graph", str(graph), "--checkpoint", str(ckpt),
                 "--out-dir", str(tmp_path / "out")]) == 1
     assert "checkpoint expects 6 features per node, graph has 4" in capsys.readouterr().err
+
+
+def _drop(key):
+    return lambda blob: blob["arrays"].pop(key)
+
+
+def _matrix(name, rows, cols):
+    return lambda blob: blob["arrays"].update({name: {"shape": [rows, cols],
+                                                      "data": [0.0] * (rows * cols)}})
+
+
+@pytest.mark.parametrize("change, named", [
+    (lambda blob: blob.pop("arrays"), "no 'arrays'"),
+    (_drop("agg.W"), "lacks arrays agg.W"),
+    (_drop("clf.V"), "lacks arrays clf.V"),
+    (_drop("policy.w0"), "lacks arrays policy.w0"),
+    (lambda blob: blob["extra"].update(activation="tanh"), "activation 'tanh'"),
+    (lambda blob: blob["extra"]["config"].update(activation="tanh"), "activation 'tanh'"),
+    (_matrix("clf.V", 2, 3), "clf.V has 3 columns, agg.W has 4 rows"),
+    (_matrix("policy.w0", 64, 6), "policy takes 6 inputs, not 2 x 4 agg.W rows"),
+], ids=["no-arrays", "no-agg", "no-clf", "no-policy", "tanh", "config-tanh",
+        "clf-width", "policy-width"])
+def test_malformed_checkpoint_is_validation_error(tmp_path, capsys, change, named):
+    graph, ckpt = _init_checkpoint(tmp_path, "g", classes=2, dim=6)
+    blob = json.loads(ckpt.read_text())
+    change(blob)
+    ckpt.write_text(json.dumps(blob))
+    assert run(["eval", "--graph", str(graph), "--checkpoint", str(ckpt),
+                "--out-dir", str(tmp_path / "out")]) == 1
+    assert named in capsys.readouterr().err
 
 
 def test_config_is_a_train_only_option():

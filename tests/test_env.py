@@ -229,23 +229,6 @@ def test_rollout_invariants_hold_on_random_episodes():
         assert all(np.isfinite(t.log_prob) for t in traj.transitions)
 
 
-def test_rollout_respects_max_steps():
-    # a capped episode is the uncapped one, with the same stream, cut short
-    g, agg, clf, policy = make_setup(seed=11)
-    v = max(range(g.num_nodes), key=g.degree)
-    longest = 0
-    for seed in range(10):
-        full = env.rollout(g, v, policy, agg, clf, np.random.default_rng(seed))
-        capped = env.rollout(g, v, policy, agg, clf, np.random.default_rng(seed),
-                             max_steps=2)
-        assert ([(t.candidate, t.action, t.reward) for t in capped.transitions]
-                == [(t.candidate, t.action, t.reward) for t in full.transitions[:2]])
-        longest = max(longest, len(full.transitions))
-    assert longest > 2  # the cap cut at least one episode
-    with pytest.raises(ValueError):
-        env.rollout(g, v, policy, agg, clf, np.random.default_rng(0), max_steps=0)
-
-
 def test_rollout_is_deterministic_given_seed():
     g, agg, clf, policy = make_setup(seed=12)
     v = max(range(g.num_nodes), key=g.degree)

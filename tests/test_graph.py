@@ -98,6 +98,9 @@ def test_planted_partition_validates_inputs():
         generate_planted_partition(10, 3, 0.5, 0.1, 4, 1.0, seed=0)  # n % classes
     with pytest.raises(GraphError):
         generate_planted_partition(10, 5, 0.5, 0.1, 3, 1.0, seed=0)  # dim < classes
+    for n, classes, named in ((10, 0, "classes"), (10, -1, "classes"), (-2, 2, "n")):
+        with pytest.raises(GraphError, match=f"{named} must be"):
+            generate_planted_partition(n, classes, 0.5, 0.1, 4, 1.0, seed=0)
 
 
 def test_generated_graphs_always_pass_invariants():

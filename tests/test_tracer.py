@@ -1,6 +1,9 @@
 import importlib
 import importlib.util
+import inspect
 import os
+
+from graphdenoise import nn, policy, trainer
 
 PERFBENCH = os.path.join(os.path.dirname(__file__), "..", "perfbench")
 
@@ -33,3 +36,13 @@ def test_benchmark_configs_construct(monkeypatch):
     train_cfg, base_cfg = workloads._denoise_configs(0)
     assert not train_cfg.select_all and base_cfg.select_all
     assert workloads._checkpoint_config().outer_iters == 10
+
+
+def test_tracer_argument_positions_match_library():
+    # the tracer's counters read these arguments by position; a dropped or
+    # reordered parameter fails here instead of in a benchmark run
+    def params(fn):
+        return list(inspect.signature(fn).parameters)
+    assert params(policy.ppo_update)[3] == "cfg"
+    assert params(trainer.greedy_select)[:2] == ["graph", "v"]
+    assert params(nn.mlp_forward_batch)[1] == "x"

@@ -1,6 +1,12 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from graphdenoise import env
+from graphdenoise import policy as policy_mod
 from graphdenoise import representation as rep
 from graphdenoise import trainer
 from graphdenoise.graph import build_graph, generate_planted_partition
@@ -218,19 +224,6 @@ def test_metrics_writer_is_deterministic(tmp_path):
     assert b"timestamp" not in (tmp_path / "a.jsonl").read_bytes()
 
 
-def test_max_steps_caps_selection_sizes():
-    g = small_graph(seed=20)
-    result = trainer.train(g, small_config(seed=20, max_steps=2, outer_iters=1))
-    # sampled selections during training were capped, so training completed;
-    # re-rolling with the cap keeps at most 2 decisions per node
-    from graphdenoise import env
-    import numpy as np
-    for v in np.flatnonzero(g.train_mask)[:10]:
-        traj = env.rollout(g, int(v), result.policy, result.agg, result.clf,
-                           np.random.default_rng(0), max_steps=2)
-        assert len(traj.transitions) <= 2
-
-
 def test_config_round_trip():
     cfg = small_config(fc_mode="hard", rollouts_per_node=2)
     again = TrainConfig.from_dict(cfg.to_dict())
@@ -258,7 +251,6 @@ def test_config_validation():
     (TrainConfig, "outer_iters", True),
     (TrainConfig, "rep_lr", "fast"),
     (TrainConfig, "select_all", "no"),
-    (TrainConfig, "max_steps", 1.5),
     (TrainConfig, "fc_mode", "medium"),
     (PPOConfig, "minibatch_size", "a"),
     (PPOConfig, "gamma", True),
@@ -266,5 +258,44 @@ def test_config_validation():
 def test_config_value_types_are_named(cls, field, value):
     with pytest.raises(ValueError, match=field):
         cls(**{field: value})
-    # numpy scalars, and None where the field allows it, stay valid
-    TrainConfig(seed=np.int64(3), rep_lr=np.float64(1e-3), max_steps=None)
+    # numpy scalars stay valid
+    TrainConfig(seed=np.int64(3), rep_lr=np.float64(1e-3))
+
+
+def reject_walking_greedy_select(graph, v, policy, agg):
+    """Reference decode that walks past rejects: every candidate is taken in
+    priority order, kept iff its probability is >= 0.5, until END."""
+    state = env.init_episode(graph, v, agg)
+    while len(state.candidates) > 1:
+        scores, probs, _ = state.candidate_scores(policy)
+        i = int(np.argmax(scores))
+        u = state.take(i)
+        if u == env.END:
+            break
+        if probs[i] >= 0.5:
+            state.accept(graph, agg, u)
+    return state.selected
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 14),
+       density=st.floats(0.1, 0.9), bias=st.floats(-1.0, 0.5))
+def test_greedy_select_stops_at_first_reject_with_reference_result(seed, n, density, bias):
+    # a negative bias on the last layer pushes scores down, so rejects come first
+    rng = np.random.default_rng(seed)
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < density]
+    g = build_graph(n, edges, rng.standard_normal((n, 3)), rng.integers(0, 2, n))
+    agg = rep.init_aggregator(4, 3, rng)
+    policy = policy_mod.init_policy(8, (6, 5), rng)
+    policy.mlp.weights[-1] += bias
+    original = env.EpisodeState.candidate_scores
+    for v in range(n):
+        calls = []
+
+        def counted(state, pol):
+            calls.append(1)
+            return original(state, pol)
+        with mock.patch.object(env.EpisodeState, "candidate_scores", counted):
+            kept = trainer.greedy_select(g, v, policy, agg)
+        assert kept == reject_walking_greedy_select(g, v, policy, agg)
+        assert len(calls) <= len(kept) + 1
