@@ -58,15 +58,14 @@ class EpisodeState:
     target: int
     selected: list  # accepted neighbor ids, in acceptance order
     candidates: list  # not-yet-decided candidate ids; END is last
-    cand_embed: np.ndarray  # row i is the embedding h_u of candidates[i]
-    h_v: np.ndarray  # current embedding of the target
+    rows: list  # table row of each pending candidate
+    table: np.ndarray  # state [h_v, h_u] per neighbor, then END's [h_v, 0]
 
     def candidate_scores(self, policy):
         """Priority score, accept probability (the score's sigmoid) and state
         row [h_v, h_u] of every pending candidate, so candidate ordering and
         the accept/reject decision share every weight of the policy stack."""
-        states = np.hstack([np.broadcast_to(self.h_v, self.cand_embed.shape),
-                            self.cand_embed])
+        states = self.table[self.rows]
         scores = policy_mod.policy_scores_batch(policy, states)
         if not np.isfinite(scores).all():
             raise ValueError("non-finite candidate score")
@@ -74,27 +73,27 @@ class EpisodeState:
 
     def take(self, i):
         """Remove pending candidate i from the episode and return its id."""
-        self.cand_embed = np.delete(self.cand_embed, i, axis=0)
+        del self.rows[i]
         return self.candidates.pop(i)
 
     def accept(self, graph, agg, u):
-        """Add u to the selected set and re-embed the target from it."""
+        """Add u to the selected set and re-embed the target (every row's h_v) from it."""
         self.selected.append(u)
-        self.h_v = rep.aggregate(agg, graph.features[self.target],
-                                 graph.features[self.selected])
+        self.table[:, :agg.embed_dim] = rep.aggregate(agg, graph.features[self.target],
+                                                      graph.features[self.selected])
 
 
 def init_episode(graph, v, agg):
     """Fresh episode: nothing selected, all neighbors plus END pending."""
     if not 0 <= v < graph.num_nodes:
         raise ValueError(f"node {v} outside [0, {graph.num_nodes})")
-    neighbors = [int(u) for u in graph.neighbors(v)]
+    neighbors = graph.neighbors(v)
     # END carries an all-zero feature vector, so its embedding relu(W 0) is zero
-    cand_embed = np.vstack([rep.embed_means(agg, graph.features[graph.neighbors(v)]),
-                            np.zeros(agg.embed_dim)])
-    h_v = rep.aggregate(agg, graph.features[v], [])
-    return EpisodeState(target=int(v), selected=[], candidates=neighbors + [END],
-                        cand_embed=cand_embed, h_v=h_v)
+    table = np.zeros((neighbors.size + 1, 2 * agg.embed_dim))
+    table[:-1, agg.embed_dim:] = rep.embed_means(agg, graph.features[neighbors])
+    table[:, :agg.embed_dim] = rep.aggregate(agg, graph.features[v], [])
+    return EpisodeState(target=int(v), selected=[], candidates=neighbors.tolist() + [END],
+                        rows=list(range(neighbors.size + 1)), table=table)
 
 
 def rollout(graph, v, policy, agg, clf, rng, fc_mode="soft"):
@@ -111,7 +110,8 @@ def rollout(graph, v, policy, agg, clf, rng, fc_mode="soft"):
     score_sum = 0.0
     while len(state.candidates) > 1:
         scores, probs, states = state.candidate_scores(policy)
-        i = int(rng.choice(len(scores), p=nn.softmax(scores)))
+        cdf = nn.softmax(scores).cumsum()  # rng.choice(p=softmax)'s draw, without its checks
+        i = int((cdf / cdf[-1]).searchsorted(rng.random(), side="right"))
         u = state.take(i)
         if u == END:
             terminated = TERMINATED_ENDING

@@ -38,8 +38,8 @@ def softmax(logits, axis=-1):
     """Max-shifted softmax; rows sum to 1 and stay strictly positive."""
     z = np.asarray(logits, dtype=np.float64)
     z = z - z.max(axis=axis, keepdims=True)
-    # exp(-700) is still a normal float64; prevents hard underflow to 0.
-    e = np.exp(np.clip(z, -700.0, 0.0))
+    # z <= 0 or NaN after the shift; exp(-700) is still a normal float64 (no underflow to 0)
+    e = np.exp(np.maximum(z, -700.0))
     return e / e.sum(axis=axis, keepdims=True)
 
 
@@ -246,14 +246,21 @@ def load_arrays(path):
     """Inverse of save_arrays. Returns (dict name -> array, extra dict)."""
     with open(path, "r", encoding="utf-8") as fh:
         blob = json.load(fh)
+    if not isinstance(blob, dict):
+        raise ValueError(f"checkpoint must hold a JSON object, got {type(blob).__name__}")
     if blob.get("version") != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {blob.get('version')!r}")
     if not isinstance(blob.get("arrays"), dict):
         raise ValueError("checkpoint has no 'arrays' object")
     out = {}
     for name, entry in blob["arrays"].items():
+        if not isinstance(entry, dict) or not {"shape", "data"} <= entry.keys():
+            raise ValueError(f"checkpoint array {name!r} needs 'shape' and 'data'")
         arr = np.array(entry["data"], dtype=np.float64).reshape(entry["shape"])
         if not np.isfinite(arr).all():
             raise ValueError(f"array {name!r} contains non-finite values")
         out[name] = arr
-    return out, blob.get("extra", {})
+    extra = blob.get("extra", {})
+    if not isinstance(extra, dict):
+        raise ValueError(f"checkpoint 'extra' must be an object, got {type(extra).__name__}")
+    return out, extra

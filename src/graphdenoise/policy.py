@@ -65,7 +65,7 @@ def sample_action(prob, rng):
     prob = float(prob)
     if not 0.0 < prob < 1.0 or not math.isfinite(prob):
         raise ValueError(f"probability must lie strictly in (0, 1), got {prob}")
-    p = float(clamp_prob(prob))
+    p = min(max(prob, PROB_CLAMP), 1.0 - PROB_CLAMP)  # clamp_prob on a float
     action = 1 if rng.random() < p else 0
     return action, math.log(p if action == 1 else 1.0 - p)
 

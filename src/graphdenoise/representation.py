@@ -70,7 +70,7 @@ def mean_with_self(x, neighbor_features):
         return x.copy()
     if rows.shape[1:] != x.shape:
         raise ValueError(f"neighbor feature shape {rows.shape[1:]} != {x.shape}")
-    return np.vstack([x, rows]).mean(axis=0)
+    return np.concatenate([x[None], rows]).sum(axis=0) / (len(rows) + 1)  # mean(0), bit for bit
 
 
 def aggregate(agg, x, neighbor_features):

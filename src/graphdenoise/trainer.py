@@ -270,10 +270,13 @@ def save_checkpoint(path, policy, agg, clf, config=None):
 
 def load_checkpoint(path):
     """(policy, agg, clf, config) of a save_checkpoint file. A missing or
-    non-matrix array, parts whose shapes do not chain, or an activation other
-    than relu (written by older versions) is a ValueError naming it."""
+    non-matrix array, parts whose shapes do not chain, a config that is not an
+    object, or an activation other than relu (written by older versions) is a
+    ValueError naming it."""
     arrays, extra = nn.load_arrays(path)
     config = extra.get("config", {})
+    if not isinstance(config, dict):
+        raise ValueError(f"checkpoint extra.config must be an object, got {type(config).__name__}")
     for activation in (extra.get("activation"), config.get("activation")):
         if activation not in (None, "relu"):
             raise ValueError(f"checkpoint activation {activation!r} is not supported; "

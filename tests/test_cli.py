@@ -252,31 +252,43 @@ def test_checkpoint_feature_width_mismatch_is_validation_error(tmp_path, capsys,
     assert "checkpoint expects 6 features per node, graph has 4" in capsys.readouterr().err
 
 
+def _edit(fn):
+    """A change that edits the checkpoint blob in place and writes it."""
+    def change(blob):
+        fn(blob)
+        return blob
+    return change
+
+
 def _drop(key):
-    return lambda blob: blob["arrays"].pop(key)
+    return _edit(lambda blob: blob["arrays"].pop(key))
 
 
 def _matrix(name, rows, cols):
-    return lambda blob: blob["arrays"].update({name: {"shape": [rows, cols],
-                                                      "data": [0.0] * (rows * cols)}})
+    return _edit(lambda blob: blob["arrays"].update({name: {"shape": [rows, cols],
+                                                            "data": [0.0] * (rows * cols)}}))
 
 
 @pytest.mark.parametrize("change, named", [
-    (lambda blob: blob.pop("arrays"), "no 'arrays'"),
+    (_edit(lambda blob: blob.pop("arrays")), "no 'arrays'"),
     (_drop("agg.W"), "lacks arrays agg.W"),
     (_drop("clf.V"), "lacks arrays clf.V"),
     (_drop("policy.w0"), "lacks arrays policy.w0"),
-    (lambda blob: blob["extra"].update(activation="tanh"), "activation 'tanh'"),
-    (lambda blob: blob["extra"]["config"].update(activation="tanh"), "activation 'tanh'"),
+    (_edit(lambda blob: blob["extra"].update(activation="tanh")), "activation 'tanh'"),
+    (_edit(lambda blob: blob["extra"]["config"].update(activation="tanh")), "activation 'tanh'"),
     (_matrix("clf.V", 2, 3), "clf.V has 3 columns, agg.W has 4 rows"),
     (_matrix("policy.w0", 64, 6), "policy takes 6 inputs, not 2 x 4 agg.W rows"),
+    (lambda blob: [1], "checkpoint must hold a JSON object, got list"),
+    (_edit(lambda blob: blob.update(extra=[])), "checkpoint 'extra' must be an object, got list"),
+    (_edit(lambda blob: blob["extra"].update(config=[])),
+     "checkpoint extra.config must be an object, got list"),
+    (_edit(lambda blob: blob["arrays"]["agg.W"].pop("data")),
+     "checkpoint array 'agg.W' needs 'shape' and 'data'"),
 ], ids=["no-arrays", "no-agg", "no-clf", "no-policy", "tanh", "config-tanh",
-        "clf-width", "policy-width"])
+        "clf-width", "policy-width", "not-object", "extra-list", "config-list", "no-data"])
 def test_malformed_checkpoint_is_validation_error(tmp_path, capsys, change, named):
     graph, ckpt = _init_checkpoint(tmp_path, "g", classes=2, dim=6)
-    blob = json.loads(ckpt.read_text())
-    change(blob)
-    ckpt.write_text(json.dumps(blob))
+    ckpt.write_text(json.dumps(change(json.loads(ckpt.read_text()))))
     assert run(["eval", "--graph", str(graph), "--checkpoint", str(ckpt),
                 "--out-dir", str(tmp_path / "out")]) == 1
     assert named in capsys.readouterr().err

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphdenoise import env, trainer
 from graphdenoise import nn
@@ -43,11 +47,14 @@ def test_init_candidate_count_includes_ending_candidate():
 def test_init_embedding_is_self_only_aggregate():
     g, agg, _, _ = make_setup()
     state = env.init_episode(g, 5, agg)
-    assert np.allclose(state.h_v, rep.aggregate(agg, g.features[5], []))
-    assert state.cand_embed.shape == (len(state.candidates), 6)
+    # one state row [h_v, h_u] per candidate, END's last, in candidate order
+    assert state.table.shape == (len(state.candidates), 12)
+    assert state.rows == list(range(len(state.candidates)))
+    for h_v in state.table[:, :6]:
+        assert np.allclose(h_v, rep.aggregate(agg, g.features[5], []))
     for i, u in enumerate(state.candidates[:-1]):
-        assert np.allclose(state.cand_embed[i], rep.aggregate(agg, g.features[u], []))
-    assert np.array_equal(state.cand_embed[-1], rep.aggregate(agg, np.zeros(4), []))
+        assert np.allclose(state.table[i, 6:], rep.aggregate(agg, g.features[u], []))
+    assert np.array_equal(state.table[-1, 6:], rep.aggregate(agg, np.zeros(4), []))
 
 
 def test_init_rejects_bad_node():
@@ -95,18 +102,20 @@ def test_regret_scores_match_per_candidate_forward():
     g, agg, _, policy = make_setup(seed=4)
     state = env.init_episode(g, 1, agg)
     scores, probs, states = state.candidate_scores(policy)
-    for i in range(len(state.candidates)):
-        s = np.concatenate([state.h_v, state.cand_embed[i]])
-        assert np.array_equal(states[i], s)
-        out, _ = nn.mlp_forward(policy.mlp, s, head="linear")
+    h_v = rep.aggregate(agg, g.features[1], [])
+    for i, u in enumerate(state.candidates):
+        h_u = np.zeros(6) if u == env.END else rep.aggregate(agg, g.features[u], [])
+        assert np.allclose(states[i], np.concatenate([h_v, h_u]), rtol=0, atol=1e-12)
+        out, _ = nn.mlp_forward(policy.mlp, states[i], head="linear")
         assert scores[i] == pytest.approx(out[0], abs=1e-12)
         # the accept probability is the sigmoid of the score, bit for bit
         assert probs[i] == nn.sigmoid(np.array([scores[i]]))[0]
-    # taking a candidate drops its id and its embedding row together
+    # taking a candidate drops its id and its table row together
     first = state.candidates[0]
     assert state.take(0) == first
-    rest, _, _ = state.candidate_scores(policy)
+    rest, _, rest_states = state.candidate_scores(policy)
     assert first not in state.candidates
+    assert np.array_equal(rest_states, states[1:])
     assert np.allclose(rest, scores[1:], atol=1e-12)
 
 
@@ -250,7 +259,7 @@ def test_incremental_embedding_matches_recomputation():
             state.accept(g, agg, u)
         scratch = rep.aggregate(agg, g.features[v],
                                 [g.features[w] for w in state.selected])
-        assert np.max(np.abs(state.h_v - scratch)) < 1e-12
+        assert np.max(np.abs(state.table[:, :6] - scratch)) < 1e-12
     # rollout states carry the same incremental embedding
     traj = env.rollout(g, v, policy, agg, clf, np.random.default_rng(6))
     selected = []
@@ -268,6 +277,8 @@ def test_state_vectors_always_twice_embedding_dim(tmp_path):
         traj = env.rollout(g, v, policy, agg, clf, rng)
         for t in traj.transitions:
             assert t.state.shape == (12,)
+            # a view would keep the whole gathered state block of its step alive
+            assert t.state.base is None
 
 
 
@@ -302,3 +313,67 @@ def test_episode_decisions_are_pinned():
         assert traj.terminated_by == env.TERMINATED_ENDING
     for v in range(g.num_nodes):
         assert trainer.greedy_select(g, v, policy, agg) == PINNED_GREEDY.get(v, [])
+
+
+def reference_rollout(graph, v, policy, agg, clf, rng):
+    """The episode as it ran before the state table: the state matrix is
+    re-stacked every step, a taken row is np.delete-d, the candidate is drawn
+    by rng.choice, and the means, softmax and clamp use their vstack, clip
+    forms. Returns ((candidate, action, reward, log_prob, state) list, reason)."""
+    def softmax(z):
+        e = np.exp(np.clip(z - z.max(), -700.0, 0.0))
+        return e / e.sum()
+
+    def embed(rows):
+        return rep.embed_means(agg, np.vstack([graph.features[v], rows]).mean(axis=0)[None])[0]
+
+    candidates = graph.neighbors(v).tolist() + [env.END]
+    cand_embed = np.vstack([rep.embed_means(agg, graph.features[graph.neighbors(v)]),
+                            np.zeros(agg.embed_dim)])
+    h_v = embed(np.empty((0, graph.feature_dim)))
+    selected, out, score_sum = [], [], 0.0
+    while len(candidates) > 1:
+        states = np.hstack([np.broadcast_to(h_v, cand_embed.shape), cand_embed])
+        scores = policy_mod.policy_scores_batch(policy, states)
+        i = int(rng.choice(len(scores), p=softmax(scores)))
+        cand_embed = np.delete(cand_embed, i, axis=0)
+        u = candidates.pop(i)
+        if u == env.END:
+            return out, env.TERMINATED_ENDING
+        p = float(np.clip(float(nn.sigmoid(scores)[i]), 1e-6, 1.0 - 1e-6))
+        action = 1 if rng.random() < p else 0
+        reward = 0.0
+        if action == 1:
+            probs = rep.classify_batch(clf, embed(graph.features[[u]])[None])[0]
+            score = float(probs[graph.labels[v]])
+            score_sum += score
+            selected.append(u)
+            h_v = embed(graph.features[selected])
+            reward = env.marginal_reward(score, score_sum)
+        out.append((u, action, reward, math.log(p if action == 1 else 1.0 - p), states[i]))
+    return out, env.TERMINATED_EXHAUSTED
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 12), density=st.floats(0.1, 0.9),
+       scale=st.sampled_from([1.0, 30.0, 1e3]), bias=st.floats(-5.0, 1.0))
+def test_rollout_matches_restacking_reference(seed, n, density, scale, bias):
+    # a large scale saturates the sigmoid and pushes score gaps past the
+    # softmax floor; a negative bias on the last layer makes rejects common
+    rng = np.random.default_rng(seed)
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < density]
+    g = build_graph(n, edges, rng.standard_normal((n, 3)), rng.integers(0, 2, n))
+    agg = rep.init_aggregator(4, 3, rng)
+    clf = rep.init_classifier(2, 4, rng)
+    policy = policy_mod.init_policy(8, (6, 5), rng)
+    policy.mlp.weights[-1] = policy.mlp.weights[-1] * scale + bias
+    for v in range(n):
+        rng_new, rng_ref = np.random.default_rng(seed + v), np.random.default_rng(seed + v)
+        traj = env.rollout(g, v, policy, agg, clf, rng_new)
+        expected, reason = reference_rollout(g, v, policy, agg, clf, rng_ref)
+        assert [(t.candidate, t.action, t.reward, t.log_prob) for t in traj.transitions] \
+            == [step[:4] for step in expected]
+        assert [t.state.tobytes() for t in traj.transitions] \
+            == [step[4].tobytes() for step in expected]
+        assert traj.terminated_by == reason
+        assert rng_new.random() == rng_ref.random()

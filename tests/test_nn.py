@@ -192,6 +192,25 @@ def test_softmax_sums_to_one_and_stays_positive():
     assert abs(s.sum() - 1.0) < 1e-9 and np.all(s > 0.0)
 
 
+def test_softmax_matches_clipped_exp_form_bit_for_bit():
+    def clipped(z, axis=-1):
+        z = z - z.max(axis=axis, keepdims=True)
+        e = np.exp(np.clip(z, -700.0, 0.0))
+        return e / e.sum(axis=axis, keepdims=True)
+
+    rng = np.random.default_rng(12)
+    rows = [rng.standard_normal(int(rng.integers(1, 9))) * rng.uniform(1.0, 2000.0)
+            for _ in range(500)]
+    rows += [np.array(r) for r in ([np.inf, 0.0], [-np.inf, 0.0], [np.inf, -np.inf],
+                                   [-np.inf, -np.inf], [np.nan, 1.0], [800.0, -800.0],
+                                   [-800.0, 0.0, 800.0], [800.0, 800.0])]
+    batch = rng.standard_normal((7, 5)) * 900.0
+    with np.errstate(invalid="ignore"):
+        for z in rows:
+            assert nn.softmax(z).tobytes() == clipped(z).tobytes()
+        assert nn.softmax(batch, axis=1).tobytes() == clipped(batch, axis=1).tobytes()
+
+
 def test_sigmoid_strictly_inside_unit_interval():
     z = np.array([-1e4, -800.0, -30.0, 0.0, 30.0, 800.0, 1e4])
     s = nn.sigmoid(z)

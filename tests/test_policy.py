@@ -84,6 +84,19 @@ def test_sample_action_clamps_extreme_probs_to_finite_logs():
         sample_action(1.0, rng)
 
 
+def test_sample_action_matches_array_clamp_on_same_stream():
+    # the float clamp draws and logs exactly as np.clip on the probability did
+    rng = np.random.default_rng(8)
+    probs = list(rng.uniform(0.0, 1.0, 2000)) + [1e-300, 1e-12, 1e-6, 0.5, 1.0 - 1e-6,
+                                                 1.0 - 1e-12, np.nextafter(1.0, 0.0)]
+    new, old = np.random.default_rng(9), np.random.default_rng(9)
+    for prob in probs:
+        p = float(np.clip(prob, 1e-6, 1.0 - 1e-6))
+        action = 1 if old.random() < p else 0
+        assert sample_action(prob, new) == (action, math.log(p if action == 1 else 1.0 - p))
+    assert new.random() == old.random()
+
+
 def test_discounted_returns_undiscounted_suffix_sums():
     assert discounted_returns([1.0, 1.0, 1.0], 1.0).tolist() == [3.0, 2.0, 1.0]
 

@@ -4,6 +4,7 @@ import inspect
 import os
 
 from graphdenoise import nn, policy, trainer
+from graphdenoise.graph import generate_planted_partition
 
 PERFBENCH = os.path.join(os.path.dirname(__file__), "..", "perfbench")
 
@@ -46,3 +47,20 @@ def test_tracer_argument_positions_match_library():
     assert params(policy.ppo_update)[3] == "cfg"
     assert params(trainer.greedy_select)[:2] == ["graph", "v"]
     assert params(nn.mlp_forward_batch)[1] == "x"
+
+
+def test_tracer_records_engine_spans(monkeypatch):
+    # the benchmark's per-layer predictions read these spans; an engine that
+    # stops calling a wrapped name leaves its span empty and fails here
+    monkeypatch.syspath_prepend(PERFBENCH)
+    tracer_mod, workloads = load_perfbench("tracer"), load_perfbench("workloads")
+    cfg, _ = workloads._denoise_configs(0)
+    cfg.outer_iters = 1
+    g = generate_planted_partition(40, 2, 0.3, 0.05, 8, 1.0, seed=0)
+    tracer = tracer_mod.Tracer(run_id=0)
+    with tracer.installed([]):
+        result = trainer.train(g, cfg)
+        trainer.evaluate(result.policy, result.agg, result.clf, g, "test")
+    names = {span[2] for span in tracer.spans}
+    assert {"env.rollout", "representation.fc", "nn.forward", "trainer.decode"} <= names
+    assert tracer.counts["env.transitions"] > 0 and tracer.counts["nn.adam_steps"] > 0
