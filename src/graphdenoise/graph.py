@@ -311,46 +311,43 @@ def inject_edge_noise(g, spec):
     """Add round(rate * |E|) edges between non-adjacent, differently-labeled nodes.
 
     Original edges, features, labels and masks are untouched. Deterministic
-    from spec.seed. Up to 3,000 nodes the edges are drawn without
-    replacement from all free cross-class pairs (an n x n matrix); above
-    that, random pairs are redrawn until cross-class and free, with no
-    quadratic memory. Both paths stay: they draw different edges from one
-    seed, the first defines every seeded test and benchmark input, and only
-    the second fits large graphs.
+    from spec.seed: ranks drawn without replacement from the row-major list
+    of free cross-class pairs (u < v) are decoded into pairs without building
+    that list, so memory stays linear in nodes plus edges.
     """
     k = int(round(spec.edge_noise_rate * g.num_edges))
     if k == 0:
         return g
     rng = np.random.default_rng(spec.seed)
-    labels = g.labels
+    n, labels, ids = g.num_nodes, g.labels, np.arange(g.num_nodes)
     src, dst = _sources(g.indptr), g.indices  # every edge, once from each end
+    # the nodes class by class, ascending within a class; cls[u] is where u's class starts
+    members = np.argsort(labels, kind="stable")
+    cls = np.searchsorted(labels[members], labels)
+    by_id = cls[members] * (n + 1) + members
 
-    counts = np.bincount(labels, minlength=g.num_classes)
-    total_cross = (g.num_nodes * g.num_nodes - int(np.sum(counts.astype(np.int64) ** 2))) // 2
-    existing_cross = int(np.count_nonzero(labels[src] != labels[dst])) // 2
-    available = total_cross - existing_cross
+    def outside(c, v):  # how many nodes before v lie outside the class that starts at c
+        return v - np.searchsorted(by_id, c * (n + 1) + v) + c
+
+    # row u lists the other-class nodes after u that are not u's neighbours
+    other, later = outside(cls, ids), (dst > src) & (labels[src] != labels[dst])
+    nbr_u, nbr_v = src[later], dst[later]
+    nbr_first = np.searchsorted(nbr_u, ids)
+    row = outside(cls, n) - other - np.bincount(nbr_u, minlength=n)
+    row_start = np.cumsum(row) - row
+    available = int(row_start[-1] + row[-1])
     if k > available:
         raise GraphError(f"cannot add {k} cross-class edges, only {available} pairs are absent")
-
-    if g.num_nodes <= 3000:
-        iu, ju = np.triu_indices(g.num_nodes, k=1)
-        cross = labels[iu] != labels[ju]
-        adj = np.zeros((g.num_nodes, g.num_nodes), dtype=bool)
-        adj[src, dst] = True
-        free = cross & ~adj[iu, ju]
-        cand_u, cand_v = iu[free], ju[free]
-        pick = rng.choice(cand_u.size, size=k, replace=False)
-        added = np.stack([cand_u[pick], cand_v[pick]], axis=1)
-    else:
-        taken = g.edge_set()
-        while len(taken) < g.num_edges + k:
-            u = int(rng.integers(g.num_nodes))
-            v = int(rng.integers(g.num_nodes))
-            if u != v and labels[u] != labels[v]:
-                taken.add((min(u, v), max(u, v)))
-        added = np.array(list(taken), dtype=np.int64)  # build_graph drops the repeats
-
-    edges = np.concatenate([np.stack([src, dst], axis=1), added])
+    rank = rng.choice(available, size=k, replace=False)
+    u = np.searchsorted(row_start, rank, side="right") - 1
+    # skip u's neighbours, each keyed by the free pairs of its row before it; then q
+    # counts the other-class nodes before v, and v skips u's class members among them
+    nbr_key = ((row_start + nbr_first - other)[nbr_u] + outside(cls[nbr_u], nbr_v)
+               - np.arange(nbr_u.size))
+    q = rank + (other - row_start - nbr_first)[u] + np.searchsorted(nbr_key, rank, side="right")
+    by_outside = cls[members] * (n + 1) + other[members]
+    v = q + np.searchsorted(by_outside, cls[u] * (n + 1) + q, side="right") - cls[u]
+    edges = np.concatenate([np.stack([src, dst], axis=1), np.stack([u, v], axis=1)])
     return build_graph(g.num_nodes, edges, g.features, g.labels,
                        masks={"train": g.train_mask, "val": g.val_mask, "test": g.test_mask})
 

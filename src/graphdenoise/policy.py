@@ -94,13 +94,16 @@ def kl_bernoulli(p_old, p_new):
 
 def check_field_types(cfg):
     """Raise ValueError naming the first int, float or bool field of a config
-    dataclass whose value has another type; a bool is neither int nor float."""
+    dataclass whose value has another type, or a float field that is not
+    finite; a bool is neither int nor float."""
     kinds = {"int": numbers.Integral, "float": numbers.Real, "bool": bool}
     for f in fields(cfg):
         value = getattr(cfg, f.name)
         if f.type in kinds and (not isinstance(value, kinds[f.type])
                                 or (isinstance(value, bool) and f.type != "bool")):
             raise ValueError(f"{f.name} must be {f.type}, got {value!r}")
+        if f.type == "float" and not math.isfinite(value):
+            raise ValueError(f"{f.name} must be finite, got {value!r}")
 
 
 @dataclass
@@ -116,12 +119,12 @@ class PPOConfig:
         check_field_types(self)
         if not 0.0 <= self.gamma <= 1.0:
             raise ValueError(f"gamma must be in [0, 1], got {self.gamma}")
-        if self.delta <= 0:
-            raise ValueError(f"delta must be positive, got {self.delta}")
-        if self.update_epochs < 0:
-            raise ValueError(f"update_epochs must be >= 0, got {self.update_epochs}")
-        if self.minibatch_size < 1:
-            raise ValueError(f"minibatch_size must be >= 1, got {self.minibatch_size}")
+        for name in ("delta", "kl_coeff"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        for name, low in (("update_epochs", 0), ("minibatch_size", 1), ("lr", 0)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
 
 
 def surrogate_and_grads(policy, states, actions, behavior_logp, returns, p_old, kl_coeff):
@@ -167,12 +170,12 @@ def _flatten_batch(trajectories):
     return states, actions, logq, returns_parts
 
 
-def ppo_update(policy, old_policy, trajectories, cfg, rng=None):
+def ppo_update(policy, trajectories, *, cfg, rng=None):
     """One trust-region policy improvement round over a trajectory batch.
 
     Returns are discounted per trajectory and then mean/std-normalized
-    across the batch. After each update epoch the mean KL(old || new) over
-    all batch states is checked: above 1.5 * delta the epoch is rolled
+    across the batch. After each update epoch the mean KL(policy || new)
+    over all batch states is checked: above 1.5 * delta the epoch is rolled
     back, the penalty coefficient doubles and the epoch is retried once;
     a retry that still violates the threshold is rolled back for good.
     Returns (new PolicyParams, diagnostics dict).
@@ -188,7 +191,7 @@ def ppo_update(policy, old_policy, trajectories, cfg, rng=None):
     std = raw_returns.std()
     norm_returns = (raw_returns - raw_returns.mean()) / (std + 1e-8)
 
-    p_old = clamp_prob(policy_forward_batch(old_policy, states))
+    p_old = clamp_prob(policy_forward_batch(policy, states))
     work = policy.copy()
     opt = nn.adam_init(work.mlp.weights, lr=cfg.lr)
     beta = cfg.kl_coeff

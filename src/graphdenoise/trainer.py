@@ -49,10 +49,10 @@ class TrainConfig:
         policy_mod.check_field_types(self)
         if self.fc_mode not in ("soft", "hard"):
             raise ValueError(f"fc_mode must be 'soft' or 'hard', got {self.fc_mode!r}")
-        for name in ("outer_iters", "rep_epochs", "batch_size", "embed_dim",
-                     "rollouts_per_node"):
-            if getattr(self, name) < (0 if name == "outer_iters" else 1):
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        for name, low in (("outer_iters", 0), ("rep_lr", 0), ("rep_epochs", 1), ("batch_size", 1),
+                          ("embed_dim", 1), ("rollouts_per_node", 1)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
 
     def to_dict(self):
         d = asdict(self)
@@ -162,8 +162,7 @@ def train(graph, cfg):
             trajectories = [t for t in trajectories if t.transitions]
             if trajectories:
                 policy, diag = policy_mod.ppo_update(
-                    policy, policy, trajectories, cfg.ppo,
-                    spawn_rng(cfg.seed, _K_PPO, it))
+                    policy, trajectories, cfg=cfg.ppo, rng=spawn_rng(cfg.seed, _K_PPO, it))
 
         val_f1 = evaluate(policy, agg, clf, graph, "val", selection) if has_val else float("nan")
         history.append({

@@ -169,6 +169,19 @@ def test_config_file_overrides_defaults_but_not_flags(tmp_path):
     assert config["rep_epochs"] == 4  # flag wins over file
 
 
+@pytest.mark.parametrize("flags, named", [
+    (["--delta", "nan"], "delta must be finite"),
+    (["--delta", "inf"], "delta must be finite"),
+    (["--delta", "0"], "delta must be positive"),
+    (["--gamma", "nan"], "gamma"),
+], ids=["delta-nan", "delta-inf", "delta-0", "gamma-nan"])
+def test_non_finite_ppo_flags_are_validation_errors(tmp_path, capsys, flags, named):
+    assert run(synth_args(tmp_path)) == 0
+    assert run(["train", "--graph", str(tmp_path / "graph.json"), "--iters", "0", *flags,
+                "--out-dir", str(tmp_path / "run")]) == 1
+    assert named in capsys.readouterr().err
+
+
 def test_unknown_config_key_is_validation_error(tmp_path, capsys):
     assert run(synth_args(tmp_path)) == 0
     cfg_path = tmp_path / "cfg.json"
@@ -190,6 +203,9 @@ def test_unknown_config_key_is_validation_error(tmp_path, capsys):
     ({"select_all": "no"}, "select_all"),
     ({"outer_iters": "x"}, "outer_iters"),
     ({"activation": "tanh"}, "activation"),
+    ({"rep_lr": -0.001}, "rep_lr must be >= 0"),
+    ({"ppo": {"kl_coeff": 0}}, "kl_coeff must be positive"),
+    ({"ppo": {"lr": -1}}, "lr must be >= 0"),
 ])
 def test_config_shape_is_validation_error(tmp_path, capsys, overrides, named):
     assert run(synth_args(tmp_path)) == 0

@@ -1,4 +1,5 @@
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -142,6 +143,79 @@ def test_edge_noise_insufficient_pairs_rejected():
     g = build_graph(4, edges, np.eye(4), [0, 0, 1, 1])
     with pytest.raises(GraphError):
         inject_edge_noise(g, NoiseSpec(edge_noise_rate=0.5, seed=0))
+
+
+def dense_edge_noise(g, spec):
+    """Reference sampler: list every free cross-class pair (u < v) in row-major
+    order with an n x n adjacency matrix, then draw k of them."""
+    k = int(round(spec.edge_noise_rate * g.num_edges))
+    if k == 0:
+        return g
+    iu, ju = np.triu_indices(g.num_nodes, k=1)
+    adj = np.zeros((g.num_nodes, g.num_nodes), dtype=bool)
+    adj[tuple(np.array(g.edge_list(), dtype=np.int64).reshape(-1, 2).T)] = True
+    free = (g.labels[iu] != g.labels[ju]) & ~adj[iu, ju]
+    available = int(free.sum())
+    if k > available:
+        raise GraphError(f"cannot add {k} cross-class edges, only {available} pairs are absent")
+    pick = np.random.default_rng(spec.seed).choice(available, size=k, replace=False)
+    added = np.stack([iu[free][pick], ju[free][pick]], axis=1)
+    return build_graph(g.num_nodes, g.edge_list() + added.tolist(), g.features, g.labels,
+                       masks={"train": g.train_mask, "val": g.val_mask, "test": g.test_mask})
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 40) | st.integers(150, 300), seed=st.integers(0, 2**32 - 1),
+       density=st.floats(0.0, 1.0), rate=st.floats(0.0, 1.0) | st.just(1.0),
+       classes=st.lists(st.integers(0, 9), min_size=1, max_size=4, unique=True))
+def test_edge_noise_matches_dense_reference(n, seed, density, rate, classes):
+    # up to 40 nodes rng.choice always runs Floyd's algorithm; 150-300 nodes
+    # give it over 10,000 pairs, where a draw of more than 1/50 of them runs a
+    # tail shuffle instead; labels need not be contiguous
+    rng = np.random.default_rng(seed)
+    m = int(density * min(n * (n - 1) / 2, 4 * n))  # sparse: many isolated nodes
+    g = build_graph(n, rng.integers(0, n, (m, 2)), np.zeros((n, 1)), rng.choice(classes, n))
+    spec = NoiseSpec(edge_noise_rate=rate, seed=seed % 1000)
+    try:
+        expected = dense_edge_noise(g, spec)
+    except GraphError as exc:
+        with pytest.raises(GraphError) as got:
+            inject_edge_noise(g, spec)
+        assert str(got.value) == str(exc)
+        return
+    noisy = inject_edge_noise(g, spec)
+    assert noisy.indptr.tobytes() == expected.indptr.tobytes()
+    assert noisy.indices.tobytes() == expected.indices.tobytes()
+
+
+def random_graph(n, avg_degree, classes, seed):
+    rng = np.random.default_rng(seed)
+    edges = rng.integers(0, n, (avg_degree * n // 2, 2))
+    return build_graph(n, edges, rng.standard_normal((n, 4)), rng.integers(0, classes, n))
+
+
+def test_edge_noise_on_a_large_graph_adds_distinct_free_cross_class_edges():
+    g = random_graph(3200, 4, 7, seed=3)
+    spec = NoiseSpec(edge_noise_rate=0.5, seed=11)
+    noisy = inject_edge_noise(g, spec)
+    added = noisy.edge_set() - g.edge_set()
+    assert noisy.edge_set() >= g.edge_set()
+    assert len(added) == noisy.num_edges - g.num_edges == round(0.5 * g.num_edges)
+    assert all(g.labels[u] != g.labels[v] for u, v in added)
+    assert graphs_equal(inject_edge_noise(g, spec), noisy)
+
+
+def test_edge_noise_memory_is_linear_in_graph_size():
+    # at 3,000 nodes an n x n adjacency matrix takes 9 MB, and the two int64
+    # index arrays of all n(n - 1)/2 pairs take 72 MB
+    g = random_graph(3000, 4, 7, seed=4)
+    tracemalloc.start()
+    try:
+        inject_edge_noise(g, NoiseSpec(edge_noise_rate=1.0, seed=0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_noise_spec_rates_validated():

@@ -164,7 +164,7 @@ def test_ppo_zero_epochs_is_identity_with_zero_kl():
     policy = make_policy(seed=9)
     batch = make_batch(policy, seed=10)
     cfg = PPOConfig(update_epochs=0)
-    new, diag = ppo_update(policy, policy.copy(), batch, cfg, np.random.default_rng(0))
+    new, diag = ppo_update(policy, batch, cfg=cfg, rng=np.random.default_rng(0))
     for a, b in zip(new.mlp.weights, policy.mlp.weights):
         assert np.array_equal(a, b)
     assert diag["mean_kl"] == 0.0
@@ -174,7 +174,7 @@ def test_ppo_zero_learning_rate_is_identity():
     policy = make_policy(seed=11)
     batch = make_batch(policy, seed=12)
     cfg = PPOConfig(update_epochs=3, lr=0.0)
-    new, _ = ppo_update(policy, policy.copy(), batch, cfg, np.random.default_rng(0))
+    new, _ = ppo_update(policy, batch, cfg=cfg, rng=np.random.default_rng(0))
     for a, b in zip(new.mlp.weights, policy.mlp.weights):
         assert np.array_equal(a, b)
 
@@ -182,10 +182,10 @@ def test_ppo_zero_learning_rate_is_identity():
 def test_ppo_empty_batch_rejected():
     policy = make_policy()
     with pytest.raises(ValueError):
-        ppo_update(policy, policy.copy(), [], PPOConfig(), np.random.default_rng(0))
+        ppo_update(policy, [], cfg=PPOConfig(), rng=np.random.default_rng(0))
     with pytest.raises(ValueError):
-        ppo_update(policy, policy.copy(), [Trajectory(0, [], "exhausted_candidates")],
-                   PPOConfig(), np.random.default_rng(0))
+        ppo_update(policy, [Trajectory(0, [], "exhausted_candidates")], cfg=PPOConfig(),
+                   rng=np.random.default_rng(0))
 
 
 def test_ppo_moves_policy_toward_rewarded_action():
@@ -198,7 +198,7 @@ def test_ppo_moves_policy_toward_rewarded_action():
     states = np.array([t.transitions[0].state for t in batch])
     before = policy_mod.policy_forward_batch(policy, states).mean()
     cfg = PPOConfig(gamma=0.9, delta=0.05, update_epochs=4, minibatch_size=16, lr=5e-3)
-    new, diag = ppo_update(policy, policy.copy(), batch, cfg, np.random.default_rng(1))
+    new, diag = ppo_update(policy, batch, cfg=cfg, rng=np.random.default_rng(1))
     after = policy_mod.policy_forward_batch(new, states).mean()
     assert after > before
     assert math.isfinite(diag["objective"])
@@ -208,7 +208,7 @@ def test_ppo_tiny_trust_region_keeps_policy_in_place():
     policy = make_policy(seed=15)
     batch = make_batch(policy, n_states=50, seed=16, reward_fn=lambda a: float(a))
     cfg = PPOConfig(delta=1e-9, update_epochs=4, minibatch_size=16, lr=1e-2)
-    new, diag = ppo_update(policy, policy.copy(), batch, cfg, np.random.default_rng(2))
+    new, diag = ppo_update(policy, batch, cfg=cfg, rng=np.random.default_rng(2))
     assert diag["mean_kl"] <= 1e-6
 
 
@@ -224,8 +224,8 @@ def test_ppo_normalized_returns_balanced_signs():
         p = policy_forward_batch(policy, s[None, :])[0]
         logp = math.log(p if a else 1.0 - p)
         trajs.append(Trajectory(0, [Transition(s, a, float(a), logp, 0)], "x"))
-    _, diag = ppo_update(policy, policy.copy(), trajs, PPOConfig(update_epochs=0),
-                         np.random.default_rng(0))
+    _, diag = ppo_update(policy, trajs, cfg=PPOConfig(update_epochs=0),
+                         rng=np.random.default_rng(0))
     assert diag["mean_return"] == pytest.approx(0.5)
 
 
@@ -267,3 +267,12 @@ def test_ppo_config_validation():
     with pytest.raises(ValueError, match="update_epochs"):
         PPOConfig(update_epochs=-1)
     assert PPOConfig(update_epochs=0, minibatch_size=1).update_epochs == 0
+    # a NaN trust region would never roll an epoch back: every bound is finite
+    for name, values in (("delta", (-0.01, math.nan, math.inf)),
+                         ("kl_coeff", (0.0, -1.0, math.nan, math.inf)),
+                         ("gamma", (math.nan,)),
+                         ("lr", (-1e-3, math.nan, math.inf))):
+        for value in values:
+            with pytest.raises(ValueError, match=name):
+                PPOConfig(**{name: value})
+    assert PPOConfig(lr=0.0).lr == 0.0

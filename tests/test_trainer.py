@@ -1,3 +1,4 @@
+import math
 from unittest import mock
 
 import numpy as np
@@ -244,6 +245,12 @@ def test_config_validation():
         TrainConfig(rep_epochs=0)
     with pytest.raises(ValueError):
         TrainConfig(outer_iters=-1)
+    for value in (-1e-3, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="rep_lr"):
+            TrainConfig(rep_lr=value)
+    with pytest.raises(ValueError, match="kl_coeff"):
+        TrainConfig.from_dict({"ppo": {"kl_coeff": math.nan}})
+    assert TrainConfig(rep_lr=0.0).rep_lr == 0.0
 
 
 @pytest.mark.parametrize("cls, field, value", [
