@@ -3,11 +3,11 @@
 One episode walks a single node's one-hop neighborhood, held in an
 EpisodeState. At each step the pending candidates (plus a synthetic ending
 candidate) are scored, one is taken, and the policy accepts or rejects it:
-rollout softmax-samples the order for training, trainer.greedy_select
-decodes in priority order. Accepting neighbor u pays the marginal-value
-reward: the node's per-neighbor task score for u divided by the summed
-scores of everything selected so far (u included), so the first acceptance
-is always worth 1 and later acceptances are worth progressively less.
+rollout softmax-samples the order for training and records decisions only,
+trainer.greedy_select decodes in priority order. pay_rewards then pays each
+accept the marginal-value reward (marginal_rewards): its per-neighbor task
+score over the summed scores of everything selected so far, itself included,
+so the first acceptance is worth 1 and later ones progressively less.
 """
 
 from __future__ import annotations
@@ -44,11 +44,14 @@ class Trajectory:
     terminated_by: str
 
 
-def marginal_reward(score, total):
-    """Reward for accepting a neighbor with task score `score` when the
-    selected set's scores, that neighbor's included, sum to `total`; 0 if
-    the total underflows."""
-    return 0.0 if total < _DENOM_GUARD else score / total
+def marginal_rewards(scores):
+    """Reward of each accept given the task scores in acceptance order: its score
+    over the running total (its own included), 0 while that total underflows."""
+    rewards, total = [], 0.0
+    for score in scores:
+        total += score
+        rewards.append(0.0 if total < _DENOM_GUARD else score / total)
+    return rewards
 
 
 @dataclass
@@ -96,18 +99,16 @@ def init_episode(graph, v, agg):
                         rows=list(range(neighbors.size + 1)), table=table)
 
 
-def rollout(graph, v, policy, agg, clf, rng, fc_mode="soft"):
-    """Run one full episode for node v under the (frozen) parameters.
+def rollout(graph, v, policy, agg, rng):
+    """Walk one full episode for node v under the (frozen) policy.
 
-    An accept scores the neighbor once and pays marginal_reward against the
-    selected set's running score total; a reject pays 0. Stops when the
-    ending candidate is drawn or the real candidates are exhausted, so an
-    episode makes at most deg(v) decisions.
+    Records every decision with reward 0; pay_rewards prices the accepts.
+    Stops when the ending candidate is drawn or the real candidates are
+    exhausted, so an episode makes at most deg(v) decisions.
     """
     state = init_episode(graph, v, agg)
     transitions = []
     terminated = TERMINATED_EXHAUSTED
-    score_sum = 0.0
     while len(state.candidates) > 1:
         scores, probs, states = state.candidate_scores(policy)
         cdf = nn.softmax(scores).cumsum()  # rng.choice(p=softmax)'s draw, without its checks
@@ -117,13 +118,20 @@ def rollout(graph, v, policy, agg, clf, rng, fc_mode="soft"):
             terminated = TERMINATED_ENDING
             break
         action, log_prob = policy_mod.sample_action(probs[i], rng)
-        reward = 0.0
         if action == 1:
-            score = rep.f_c_score(clf, agg, graph.features[v], [graph.features[u]],
-                                  graph.labels[v], mode=fc_mode)
-            score_sum += score
             state.accept(graph, agg, u)
-            reward = marginal_reward(score, score_sum)
-        transitions.append(Transition(state=states[i].copy(), action=action, reward=reward,
+        transitions.append(Transition(state=states[i].copy(), action=action, reward=0.0,
                                       log_prob=log_prob, candidate=u))
     return Trajectory(target=int(v), transitions=transitions, terminated_by=terminated)
+
+
+def pay_rewards(graph, traj, agg, clf, fc_mode="soft"):
+    """Score each accept of traj once with the frozen representation and set
+    its reward in place from marginal_rewards (rejects keep 0); returns traj."""
+    v = traj.target
+    accepts = [t for t in traj.transitions if t.action == 1]
+    scores = [rep.f_c_score(clf, agg, graph.features[v], [graph.features[t.candidate]],
+                            graph.labels[v], mode=fc_mode) for t in accepts]
+    for t, reward in zip(accepts, marginal_rewards(scores)):
+        t.reward = reward
+    return traj

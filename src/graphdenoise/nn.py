@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-HEADS = ("linear", "sigmoid", "softmax")
+HEADS = ("linear", "sigmoid")
 
 # Keeps sigmoid outputs strictly inside (0, 1) in float64 even for huge logits.
 _SIGMOID_FLOOR = 1e-15
@@ -96,17 +96,13 @@ class MlpCache:
     output: np.ndarray
 
 
-def _check_head(head):
-    if head not in HEADS:
-        raise ValueError(f"unknown head {head!r}, expected one of {HEADS}")
-
-
 def mlp_forward_batch(params, x, head="linear"):
     """Forward a batch of rows through the stack.
 
     x has shape (m, in_dim); returns (output (m, out_dim), cache).
     """
-    _check_head(head)
+    if head not in HEADS:
+        raise ValueError(f"unknown head {head!r}, expected one of {HEADS}")
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != params.in_dim:
         raise ValueError(f"input shape {x.shape} incompatible with in_dim {params.in_dim}")
@@ -118,12 +114,7 @@ def mlp_forward_batch(params, x, head="linear"):
         z = a @ w.T
         pre.append(z)
         a = relu(z) if k < last else z
-    if head == "sigmoid":
-        out = sigmoid(a)
-    elif head == "softmax":
-        out = softmax(a, axis=1)
-    else:
-        out = a
+    out = sigmoid(a) if head == "sigmoid" else a
     return out, MlpCache(inputs, pre, head, out)
 
 
@@ -142,12 +133,7 @@ def mlp_backward_batch(params, cache, upstream):
     y = cache.output
     if upstream.shape != y.shape:
         raise ValueError(f"upstream shape {upstream.shape} != output shape {y.shape}")
-    if cache.head == "sigmoid":
-        g = upstream * y * (1.0 - y)
-    elif cache.head == "softmax":
-        g = y * (upstream - (upstream * y).sum(axis=1, keepdims=True))
-    else:
-        g = upstream
+    g = upstream * y * (1.0 - y) if cache.head == "sigmoid" else upstream
     grads = [None] * len(params.weights)
     for k in reversed(range(len(params.weights))):
         grads[k] = g.T @ cache.inputs[k]
@@ -218,6 +204,13 @@ def adam_step(state, params, grads, direction="minimize"):
         vhat = state.v[i] / (1.0 - ADAM_BETA2 ** t)
         out.append(p - state.lr * mhat / (np.sqrt(vhat) + ADAM_EPS))
     return out
+
+
+def check_second_moments(state, what):
+    """ValueError naming `what` if an Adam second moment overflowed (g * g past
+    float64): every later update of that entry is 0 or NaN, so the fit stalls."""
+    if not all(np.isfinite(v).all() for v in state.v):
+        raise ValueError(f"{what}: Adam second moment overflowed; rescale the features")
 
 
 CHECKPOINT_VERSION = 1

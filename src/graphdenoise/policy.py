@@ -178,6 +178,7 @@ def ppo_update(policy, trajectories, *, cfg, rng=None):
     over all batch states is checked: above 1.5 * delta the epoch is rolled
     back, the penalty coefficient doubles and the epoch is retried once;
     a retry that still violates the threshold is rolled back for good.
+    An Adam second moment that overflowed in the round is a ValueError.
     Returns (new PolicyParams, diagnostics dict).
     """
     rng = rng or np.random.default_rng(0)
@@ -224,6 +225,7 @@ def ppo_update(policy, trajectories, *, cfg, rng=None):
                 # the retry still left the trust region: reject the epoch
                 work.mlp.weights = snap_weights
                 opt = snap_opt
+    nn.check_second_moments(opt, "PPO round")
 
     objective, _ = surrogate_and_grads(work, states, actions, logq,
                                        norm_returns, p_old, beta)

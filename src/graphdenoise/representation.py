@@ -172,7 +172,8 @@ def train_representation(agg, clf, graph, selected_sets, epochs, batch_size=256,
 
     selected_sets maps node id -> ids of the neighbors to aggregate (must be
     a subset of the node's neighbors). Returns (new agg, new clf, per-epoch
-    mean loss history); the inputs are not mutated.
+    mean loss history); the inputs are not mutated. An Adam second moment
+    that overflowed during the fit is a ValueError.
     """
     rng = rng or np.random.default_rng(0)
     train_ids = np.flatnonzero(graph.train_mask)
@@ -201,5 +202,6 @@ def train_representation(agg, clf, graph, selected_sets, epochs, batch_size=256,
             agg.W, clf.V = nn.adam_step(opt, [agg.W, clf.V], [d_w, d_v])
             total += loss * rows.size
         history.append(total / train_ids.size)
+    nn.check_second_moments(opt, "representation fit")
     return agg, clf, history
 

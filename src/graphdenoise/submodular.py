@@ -110,12 +110,7 @@ class SelectionRewardFunction(SetFunction):
 
     def order_value(self, sequence):
         """Accumulated reward of accepting the given ids in the given order."""
-        rewards = []
-        acc = 0.0
-        for u in sequence:
-            acc += self.values[u]
-            rewards.append(env.marginal_reward(self.values[u], acc))
-        return sum(rewards)
+        return sum(env.marginal_rewards([self.values[u] for u in sequence]))
 
     def evaluate(self, subset):
         return self.order_value(sorted(subset))
@@ -126,8 +121,7 @@ class SelectionRewardFunction(SetFunction):
         subset = frozenset(subset)
         if item in subset:
             raise ValueError(f"item {item} already selected")
-        total = sum(self.values[u] for u in subset) + self.values[item]
-        return env.marginal_reward(self.values[item], total)
+        return env.marginal_rewards([self.values[u] for u in subset] + [self.values[item]])[-1]
 
     def order_spread(self, subset, rng, permutations=20):
         """Max minus min accumulated reward over sampled insertion orders.

@@ -1,13 +1,13 @@
 """Iteration-wise optimization: alternate representation learning with policy
 improvement, plus evaluation, denoised-graph export and selection statistics.
 
-Each outer iteration first freezes the policy and rolls out selection sets
-for every training node to fit the aggregator + classifier, then freezes
-those and runs a PPO round on freshly collected trajectories. Validation
-micro-F1 is logged per iteration and the best-validation parameters are the
-ones returned. Evaluation decodes greedily (accept the top-priority candidate
-while its selection probability is at least 0.5, else stop), so it is
-deterministic and works for nodes unseen in training.
+Each outer iteration first freezes the policy and walks (unpriced) one
+episode per training node to pick the sets that fit the aggregator and
+classifier, then freezes those, pays fresh walks and runs PPO on them.
+Validation micro-F1 is logged per iteration and the best-validation
+parameters are the ones returned. Evaluation decodes greedily (accept the
+top-priority candidate while its selection probability is at least 0.5,
+else stop), so it is deterministic and works for nodes unseen in training.
 """
 
 from __future__ import annotations
@@ -138,28 +138,28 @@ def train(graph, cfg):
     history = []
 
     for it in range(cfg.outer_iters):
-        # phase 1: freeze the policy, materialize selection sets, fit the
-        # aggregator + classifier on them
+        # phase 1: freeze the policy, walk (unpriced) to materialize selection
+        # sets, fit the aggregator + classifier on them
         if cfg.select_all:
             selected = {int(v): graph.neighbors(v) for v in train_ids}
         else:
             selected = {}
             for v in train_ids:
-                traj = env.rollout(graph, int(v), policy, agg, clf,
-                                   spawn_rng(cfg.seed, _K_SELECT, it, v), fc_mode=cfg.fc_mode)
+                traj = env.rollout(graph, int(v), policy, agg,
+                                   spawn_rng(cfg.seed, _K_SELECT, it, v))
                 selected[int(v)] = [t.candidate for t in traj.transitions if t.action == 1]
         agg, clf, losses = rep.train_representation(
             agg, clf, graph, selected, cfg.rep_epochs, cfg.batch_size,
             cfg.rep_lr, spawn_rng(cfg.seed, _K_REP, it))
 
-        # phase 2: freeze the representation, improve the policy
+        # phase 2: freeze the representation, pay fresh walks, improve the policy
         diag = {"mean_kl": 0.0, "mean_return": 0.0, "objective": 0.0}
         if not cfg.select_all:
             trajectories = [
-                env.rollout(graph, int(v), policy, agg, clf,
-                            spawn_rng(cfg.seed, _K_COLLECT, it, v, r), fc_mode=cfg.fc_mode)
+                env.rollout(graph, int(v), policy, agg, spawn_rng(cfg.seed, _K_COLLECT, it, v, r))
                 for v in train_ids for r in range(cfg.rollouts_per_node)]
-            trajectories = [t for t in trajectories if t.transitions]
+            trajectories = [env.pay_rewards(graph, t, agg, clf, cfg.fc_mode)
+                            for t in trajectories if t.transitions]
             if trajectories:
                 policy, diag = policy_mod.ppo_update(
                     policy, trajectories, cfg=cfg.ppo, rng=spawn_rng(cfg.seed, _K_PPO, it))
@@ -301,8 +301,9 @@ def load_checkpoint(path):
 
 
 def write_metrics(path, history):
-    """JSON-lines metrics, one record per outer iteration, no timestamps."""
+    """Strict JSON lines, one record per outer iteration, no timestamps; NaN is null."""
     with open(path, "w", encoding="utf-8") as fh:
         for row in history:
-            fh.write(json.dumps(row, separators=(",", ":")))
+            row = {k: None if isinstance(x, float) and np.isnan(x) else x for k, x in row.items()}
+            fh.write(json.dumps(row, separators=(",", ":"), allow_nan=False))
             fh.write("\n")

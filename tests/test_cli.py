@@ -6,7 +6,7 @@ import pytest
 
 from graphdenoise import trainer
 from graphdenoise.cli import build_parser, run
-from graphdenoise.graph import load_graph
+from graphdenoise.graph import build_graph, load_graph, save_graph_json
 
 
 def read(path):
@@ -180,6 +180,41 @@ def test_non_finite_ppo_flags_are_validation_errors(tmp_path, capsys, flags, nam
     assert run(["train", "--graph", str(tmp_path / "graph.json"), "--iters", "0", *flags,
                 "--out-dir", str(tmp_path / "run")]) == 1
     assert named in capsys.readouterr().err
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_train_metrics_are_strict_json_without_val_nodes(tmp_path):
+    # six nodes in two classes: the stratified split leaves no val nodes
+    assert run(["synth", "--n", "6", "--classes", "2", "--p-in", "0.8", "--dim", "3",
+                "--out-dir", str(tmp_path)]) == 0
+    assert not load_graph(tmp_path / "graph.json").val_mask.any()
+    out = tmp_path / "run"
+    assert run(["train", "--graph", str(tmp_path / "graph.json"), "--iters", "2",
+                "--rep-epochs", "2", "--embed-dim", "4", "--out-dir", str(out)]) == 0
+    lines = (out / "metrics.jsonl").read_text().splitlines()
+    assert len(lines) == 2
+    for line in lines:
+        row = json.loads(line, parse_constant=_reject_constant)
+        assert row["val_f1"] is None
+        assert isinstance(row["train_loss"], float)
+
+
+def test_train_adam_overflow_is_validation_error(tmp_path, capsys):
+    # features of magnitude 1e300 overflow the fit's squared gradients
+    assert run(synth_args(tmp_path)) == 0
+    g = load_graph(tmp_path / "graph.json")
+    big = build_graph(g.num_nodes, g.edge_list(), g.features * 1e300, g.labels,
+                      masks={"train": g.train_mask, "val": g.val_mask, "test": g.test_mask})
+    save_graph_json(big, tmp_path / "big.json")
+    with np.errstate(over="ignore"):
+        code = run(["train", "--graph", str(tmp_path / "big.json"), "--iters", "2",
+                    "--rep-epochs", "5", "--embed-dim", "6", "--out-dir", str(tmp_path / "run")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "representation fit" in err and "second moment overflowed" in err
 
 
 def test_unknown_config_key_is_validation_error(tmp_path, capsys):

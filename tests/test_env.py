@@ -123,10 +123,9 @@ def test_sample_next_candidate_single_candidate_always_picked():
     # a neighbor scoring far above END is drawn first on every stream
     g = star_graph([[0.3, 0.7]])
     agg = rep.AggregatorParams(np.eye(2))
-    clf = rep.init_classifier(2, 2, np.random.default_rng(0))
     policy = end_saturating_policy(2, 50.0)
     for seed in range(10):
-        traj = env.rollout(g, 0, policy, agg, clf, np.random.default_rng(seed))
+        traj = env.rollout(g, 0, policy, agg, np.random.default_rng(seed))
         assert [t.candidate for t in traj.transitions] == [1]
         assert traj.terminated_by == env.TERMINATED_EXHAUSTED
 
@@ -135,12 +134,11 @@ def test_sample_next_candidate_uniform_scores_are_fair():
     # equal scores: the first draw is uniform over two neighbors and END
     g = star_graph([[0.3, 0.7], [0.6, 0.4]])
     agg = rep.AggregatorParams(np.eye(2))
-    clf = rep.init_classifier(2, 2, np.random.default_rng(0))
     policy = policy_mod.PolicyParams(nn.MlpParams([np.zeros((3, 4)), np.zeros((1, 3))]))
     rng = np.random.default_rng(1)
     firsts = []
     for _ in range(3000):
-        traj = env.rollout(g, 0, policy, agg, clf, rng)
+        traj = env.rollout(g, 0, policy, agg, rng)
         firsts.append(traj.transitions[0].candidate if traj.transitions else env.END)
     for u in (1, 2, env.END):
         assert abs(np.mean(np.array(firsts) == u) - 1.0 / 3.0) < 0.03
@@ -149,21 +147,20 @@ def test_sample_next_candidate_uniform_scores_are_fair():
 def test_sample_next_candidate_saturated_end_score():
     g = star_graph([[0.3, 0.7], [0.6, 0.4], [0.5, 0.5]])
     agg = rep.AggregatorParams(np.eye(2))
-    clf = rep.init_classifier(2, 2, np.random.default_rng(0))
     policy = end_saturating_policy(2, -50.0)
     rng = np.random.default_rng(2)
-    trajs = [env.rollout(g, 0, policy, agg, clf, rng) for _ in range(200)]
+    trajs = [env.rollout(g, 0, policy, agg, rng) for _ in range(200)]
     ended = [not t.transitions and t.terminated_by == env.TERMINATED_ENDING for t in trajs]
     assert np.mean(ended) > 0.99
     assert trainer.greedy_select(g, 0, policy, agg) == []
 
 
 def test_sample_next_candidate_rejects_non_finite():
-    g, agg, clf, policy = make_setup(seed=3)
+    g, agg, _, policy = make_setup(seed=3)
     v = next(v for v in range(g.num_nodes) if g.degree(v) >= 1)
     policy.mlp.weights[-1][:] = np.inf
     with np.errstate(invalid="ignore"), pytest.raises(ValueError):
-        env.rollout(g, v, policy, agg, clf, np.random.default_rng(0))
+        env.rollout(g, v, policy, agg, np.random.default_rng(0))
     with np.errstate(invalid="ignore"), pytest.raises(ValueError):
         trainer.greedy_select(g, v, policy, agg)
 
@@ -173,7 +170,7 @@ def test_step_first_acceptance_reward_is_exactly_one():
     rng = np.random.default_rng(5)
     accepted = 0
     for v in range(g.num_nodes):
-        traj = env.rollout(g, v, policy, agg, clf, rng)
+        traj = env.pay_rewards(g, env.rollout(g, v, policy, agg, rng), agg, clf)
         first = next((t for t in traj.transitions if t.action == 1), None)
         if first is not None:
             assert first.reward == 1.0
@@ -187,8 +184,8 @@ def test_step_equal_scores_reward_is_one_over_count():
     g = star_graph([[0.3, 0.7], [0.3, 0.7], [0.3, 0.7]])
     agg = rep.AggregatorParams(np.eye(2))
     clf = rep.init_classifier(2, 2, np.random.default_rng(6))
-    traj = env.rollout(g, 0, end_saturating_policy(2, 50.0), agg, clf,
-                       np.random.default_rng(6))
+    traj = env.pay_rewards(g, env.rollout(g, 0, end_saturating_policy(2, 50.0), agg,
+                                          np.random.default_rng(6)), agg, clf)
     assert [t.action for t in traj.transitions] == [1, 1, 1]
     rewards = [t.reward for t in traj.transitions]
     assert rewards[0] == pytest.approx(1.0, abs=1e-12)
@@ -202,7 +199,7 @@ def test_step_reject_leaves_embedding_untouched_and_pays_zero():
     rng = np.random.default_rng(7)
     followed = 0
     for v in range(g.num_nodes):
-        traj = env.rollout(g, v, policy, agg, clf, rng)
+        traj = env.pay_rewards(g, env.rollout(g, v, policy, agg, rng), agg, clf)
         for t, nxt in zip(traj.transitions, traj.transitions[1:] + [None]):
             if t.action == 0:
                 assert t.reward == 0.0
@@ -216,9 +213,8 @@ def test_rollout_isolated_node_is_empty_and_exhausted():
     g = isolated_node_graph()
     rng = np.random.default_rng(0)
     agg = rep.AggregatorParams(np.eye(3))
-    clf = rep.ClassifierParams(np.zeros((2, 3)))
     policy = policy_mod.init_policy(6, (4,), np.random.default_rng(1))
-    traj = env.rollout(g, 2, policy, agg, clf, rng)
+    traj = env.rollout(g, 2, policy, agg, rng)
     assert traj.transitions == []
     assert traj.terminated_by == env.TERMINATED_EXHAUSTED
 
@@ -227,7 +223,7 @@ def test_rollout_invariants_hold_on_random_episodes():
     g, agg, clf, policy = make_setup(seed=10)
     rng = np.random.default_rng(4)
     for v in range(g.num_nodes):
-        traj = env.rollout(g, v, policy, agg, clf, rng)
+        traj = env.pay_rewards(g, env.rollout(g, v, policy, agg, rng), agg, clf)
         assert len(traj.transitions) <= g.degree(v) + 1
         seen = [t.candidate for t in traj.transitions]
         assert len(seen) == len(set(seen))  # each candidate decided at most once
@@ -238,18 +234,42 @@ def test_rollout_invariants_hold_on_random_episodes():
         assert all(np.isfinite(t.log_prob) for t in traj.transitions)
 
 
+def test_rollout_only_walks_and_pay_rewards_scores_each_accept_once(monkeypatch):
+    g, agg, clf, policy = make_setup(seed=8)
+    real = rep.f_c_score
+    calls = []
+    monkeypatch.setattr(rep, "f_c_score", lambda *a, **k: calls.append(a[4]) or real(*a, **k))
+    for v in range(g.num_nodes):
+        traj = env.rollout(g, v, policy, agg, np.random.default_rng(v))
+        assert all(t.reward == 0.0 for t in traj.transitions)
+        assert calls == []
+        decisions = [(t.candidate, t.action) for t in traj.transitions]
+        assert env.pay_rewards(g, traj, agg, clf) is traj
+        assert [(t.candidate, t.action) for t in traj.transitions] == decisions
+        assert calls == [g.labels[v]] * sum(a for _, a in decisions)
+        assert all(t.reward == 0.0 for t in traj.transitions if t.action == 0)
+        calls.clear()
+
+
+def test_marginal_rewards_recurrence():
+    assert env.marginal_rewards([]) == []
+    assert env.marginal_rewards([2.0, 2.0, 4.0]) == [1.0, 0.5, 0.5]
+    # a running total below the guard pays 0 instead of dividing by it
+    assert env.marginal_rewards([0.0, 1e-13, 1.0]) == [0.0, 0.0, 1.0 / (1e-13 + 1.0)]
+
+
 def test_rollout_is_deterministic_given_seed():
     g, agg, clf, policy = make_setup(seed=12)
     v = max(range(g.num_nodes), key=g.degree)
-    t1 = env.rollout(g, v, policy, agg, clf, np.random.default_rng(77))
-    t2 = env.rollout(g, v, policy, agg, clf, np.random.default_rng(77))
+    t1 = env.pay_rewards(g, env.rollout(g, v, policy, agg, np.random.default_rng(77)), agg, clf)
+    t2 = env.pay_rewards(g, env.rollout(g, v, policy, agg, np.random.default_rng(77)), agg, clf)
     assert [t.candidate for t in t1.transitions] == [t.candidate for t in t2.transitions]
     assert [t.action for t in t1.transitions] == [t.action for t in t2.transitions]
     assert [t.reward for t in t1.transitions] == [t.reward for t in t2.transitions]
 
 
 def test_incremental_embedding_matches_recomputation():
-    g, agg, clf, policy = make_setup(seed=13)
+    g, agg, _, policy = make_setup(seed=13)
     v = max(range(g.num_nodes), key=g.degree)
     state = env.init_episode(g, v, agg)
     rng = np.random.default_rng(5)
@@ -261,7 +281,7 @@ def test_incremental_embedding_matches_recomputation():
                                 [g.features[w] for w in state.selected])
         assert np.max(np.abs(state.table[:, :6] - scratch)) < 1e-12
     # rollout states carry the same incremental embedding
-    traj = env.rollout(g, v, policy, agg, clf, np.random.default_rng(6))
+    traj = env.rollout(g, v, policy, agg, np.random.default_rng(6))
     selected = []
     for t in traj.transitions:
         scratch = rep.aggregate(agg, g.features[v], [g.features[w] for w in selected])
@@ -271,10 +291,10 @@ def test_incremental_embedding_matches_recomputation():
 
 
 def test_state_vectors_always_twice_embedding_dim(tmp_path):
-    g, agg, clf, policy = make_setup(seed=15, embed=6)
+    g, agg, _, policy = make_setup(seed=15, embed=6)
     rng = np.random.default_rng(6)
     for v in range(0, g.num_nodes, 3):
-        traj = env.rollout(g, v, policy, agg, clf, rng)
+        traj = env.rollout(g, v, policy, agg, rng)
         for t in traj.transitions:
             assert t.state.shape == (12,)
             # a view would keep the whole gathered state block of its step alive
@@ -308,7 +328,8 @@ def test_episode_decisions_are_pinned():
     clf = rep.init_classifier(3, 6, rng)
     policy = policy_mod.init_policy(12, (8, 5), rng)
     for v, decisions in PINNED_ROLLOUTS.items():
-        traj = env.rollout(g, v, policy, agg, clf, np.random.default_rng(100 + v))
+        walk = env.rollout(g, v, policy, agg, np.random.default_rng(100 + v))
+        traj = env.pay_rewards(g, walk, agg, clf)
         assert [(t.candidate, t.action, t.reward) for t in traj.transitions] == decisions
         assert traj.terminated_by == env.TERMINATED_ENDING
     for v in range(g.num_nodes):
@@ -319,7 +340,8 @@ def reference_rollout(graph, v, policy, agg, clf, rng):
     """The episode as it ran before the state table: the state matrix is
     re-stacked every step, a taken row is np.delete-d, the candidate is drawn
     by rng.choice, and the means, softmax and clamp use their vstack, clip
-    forms. Returns ((candidate, action, reward, log_prob, state) list, reason)."""
+    forms, and each accept is paid as it is taken against the running score
+    total. Returns ((candidate, action, reward, log_prob, state) list, reason)."""
     def softmax(z):
         e = np.exp(np.clip(z - z.max(), -700.0, 0.0))
         return e / e.sum()
@@ -349,7 +371,7 @@ def reference_rollout(graph, v, policy, agg, clf, rng):
             score_sum += score
             selected.append(u)
             h_v = embed(graph.features[selected])
-            reward = env.marginal_reward(score, score_sum)
+            reward = 0.0 if score_sum < 1e-12 else score / score_sum
         out.append((u, action, reward, math.log(p if action == 1 else 1.0 - p), states[i]))
     return out, env.TERMINATED_EXHAUSTED
 
@@ -369,7 +391,7 @@ def test_rollout_matches_restacking_reference(seed, n, density, scale, bias):
     policy.mlp.weights[-1] = policy.mlp.weights[-1] * scale + bias
     for v in range(n):
         rng_new, rng_ref = np.random.default_rng(seed + v), np.random.default_rng(seed + v)
-        traj = env.rollout(g, v, policy, agg, clf, rng_new)
+        traj = env.pay_rewards(g, env.rollout(g, v, policy, agg, rng_new), agg, clf)
         expected, reason = reference_rollout(g, v, policy, agg, clf, rng_ref)
         assert [(t.candidate, t.action, t.reward, t.log_prob) for t in traj.transitions] \
             == [step[:4] for step in expected]

@@ -177,7 +177,8 @@ def test_reward_marginal_equals_environment_step_reward():
     policy = policy_mod.init_policy(2 * agg.embed_dim, (8, 5), np.random.default_rng(7))
     longest = 0
     for seed in range(20):
-        traj = env.rollout(g, v, policy, agg, clf, np.random.default_rng(seed))
+        traj = env.pay_rewards(g, env.rollout(g, v, policy, agg, np.random.default_rng(seed)),
+                               agg, clf)
         accepted = [t for t in traj.transitions if t.action == 1]
         take = [t.candidate for t in accepted]
         for i, t in enumerate(accepted):

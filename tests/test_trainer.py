@@ -92,6 +92,28 @@ def test_train_never_reads_test_labels():
     assert a.history == b.history
 
 
+def test_train_scores_each_ppo_accept_once(monkeypatch):
+    # phase-1 walks only read the accepted sets, so only the PPO batches are priced
+    real_score, real_update = rep.f_c_score, policy_mod.ppo_update
+    counts = {"scores": 0, "accepts": 0, "rounds": 0}
+
+    def counting_score(*args, **kwargs):
+        counts["scores"] += 1
+        return real_score(*args, **kwargs)
+
+    def counting_update(policy, trajectories, **kwargs):
+        counts["rounds"] += 1
+        counts["accepts"] += sum(t.action for traj in trajectories for t in traj.transitions)
+        return real_update(policy, trajectories, **kwargs)
+
+    monkeypatch.setattr(rep, "f_c_score", counting_score)
+    monkeypatch.setattr(policy_mod, "ppo_update", counting_update)
+    trainer.train(small_graph(seed=2), small_config(outer_iters=3, rollouts_per_node=2))
+    assert counts["rounds"] == 3
+    assert counts["accepts"] > 0
+    assert counts["scores"] == counts["accepts"]
+
+
 def test_select_all_baseline_skips_policy_learning():
     g = small_graph(seed=6)
     cfg = small_config(select_all=True, seed=7)
