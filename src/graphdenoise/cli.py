@@ -71,7 +71,6 @@ def build_parser():
     p.add_argument("--delta", type=float, default=None, help="trust-region KL threshold (config default 0.01)")
     p.add_argument("--batch-size", type=int, default=None, help="representation minibatch size (config default 256)")
     p.add_argument("--embed-dim", type=int, default=None, help="embedding dimension (config default 128)")
-    p.add_argument("--fc-mode", choices=["soft", "hard"], default=None, help="per-node task score mode (config default soft)")
     p.add_argument("--select-all", action="store_true",
                    help="baseline: keep every neighbor, skip policy learning")
     p.add_argument("--config", default=None, help="JSON file of training-config overrides")
@@ -137,7 +136,6 @@ def _build_config(args):
         "rep_epochs": "rep_epochs",
         "batch_size": "batch_size",
         "embed_dim": "embed_dim",
-        "fc_mode": "fc_mode",
         "seed": "seed",
     }
     for flag, key in flag_map.items():
@@ -190,6 +188,8 @@ def cmd_train(args):
     trainer.save_checkpoint(ckpt, result.policy, result.agg, result.clf, cfg.to_dict())
     trainer.write_metrics(metrics, result.history)
     last_val = result.history[-1]["val_f1"] if result.history else float("nan")
+    if not g.val_mask.any():  # metrics.jsonl writes null
+        last_val = "none (no val nodes)"
     print(f"wrote {ckpt} (best iteration {result.best_iteration}), "
           f"last val_f1 {last_val}")
     return 0

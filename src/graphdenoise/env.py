@@ -125,13 +125,13 @@ def rollout(graph, v, policy, agg, rng):
     return Trajectory(target=int(v), transitions=transitions, terminated_by=terminated)
 
 
-def pay_rewards(graph, traj, agg, clf, fc_mode="soft"):
+def pay_rewards(graph, traj, agg, clf):
     """Score each accept of traj once with the frozen representation and set
     its reward in place from marginal_rewards (rejects keep 0); returns traj."""
     v = traj.target
     accepts = [t for t in traj.transitions if t.action == 1]
-    scores = [rep.f_c_score(clf, agg, graph.features[v], [graph.features[t.candidate]],
-                            graph.labels[v], mode=fc_mode) for t in accepts]
+    scores = [rep.f_c_score(clf, agg, graph.features[v], graph.features[t.candidate],
+                            graph.labels[v]) for t in accepts]
     for t, reward in zip(accepts, marginal_rewards(scores)):
         t.reward = reward
     return traj

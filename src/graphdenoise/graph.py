@@ -292,11 +292,12 @@ def generate_planted_partition(n, classes, p_in, p_out, dim, signal_strength, se
     rng = np.random.default_rng(seed)
     labels = np.repeat(np.arange(classes, dtype=np.int64), n // classes)
 
-    iu, ju = np.triu_indices(n, k=1)
-    same = labels[iu] == labels[ju]
-    probs = np.where(same, p_in, p_out)
-    keep = rng.random(iu.size) < probs
-    edges = np.stack([iu[keep], ju[keep]], axis=1)
+    edges = []
+    # row by row: the coins one draw over all pairs (u < v) gives, in order, in linear memory
+    for i in range(n - 1):
+        keep = rng.random(n - 1 - i) < np.where(labels[i + 1:] == labels[i], p_in, p_out)
+        edges.append(np.stack([np.full(keep.sum(), i), np.flatnonzero(keep) + i + 1], axis=1))
+    edges = np.concatenate(edges) if edges else []
 
     means = np.zeros((classes, dim))
     means[np.arange(classes), np.arange(classes)] = float(signal_strength)

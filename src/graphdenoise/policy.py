@@ -212,19 +212,20 @@ def ppo_update(policy, trajectories, *, cfg, rng=None):
         p_new = clamp_prob(policy_forward_batch(work, states))
         return float(np.mean(kl_bernoulli(p_old, p_new)))
 
-    for _ in range(int(cfg.update_epochs)):
-        snap_weights = [w.copy() for w in work.mlp.weights]
-        snap_opt = opt.copy()
-        run_epoch()
-        if mean_kl() > 1.5 * cfg.delta:
-            work.mlp.weights = [w.copy() for w in snap_weights]
-            opt = snap_opt.copy()
-            beta *= 2.0
+    with np.errstate(over="ignore"):  # an overflowed g * g is named just below
+        for _ in range(int(cfg.update_epochs)):
+            snap_weights = [w.copy() for w in work.mlp.weights]
+            snap_opt = opt.copy()
             run_epoch()
             if mean_kl() > 1.5 * cfg.delta:
-                # the retry still left the trust region: reject the epoch
-                work.mlp.weights = snap_weights
-                opt = snap_opt
+                work.mlp.weights = [w.copy() for w in snap_weights]
+                opt = snap_opt.copy()
+                beta *= 2.0
+                run_epoch()
+                if mean_kl() > 1.5 * cfg.delta:
+                    # the retry still left the trust region: reject the epoch
+                    work.mlp.weights = snap_weights
+                    opt = snap_opt
     nn.check_second_moments(opt, "PPO round")
 
     objective, _ = surrogate_and_grads(work, states, actions, logq,

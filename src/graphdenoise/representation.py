@@ -91,22 +91,13 @@ def classify_batch(clf, H):
     return nn.softmax(np.asarray(H, dtype=np.float64) @ clf.V.T, axis=1)
 
 
-def f_c_score(clf, agg, x, neighbor_features, true_label, mode="soft"):
-    """Per-node task score in [0, 1] used as the reward building block.
-
-    "soft" returns the predicted probability of the true class; "hard"
-    returns 1.0 when the argmax prediction is correct, else 0.0 (the
-    one-sample micro-F1).
-    """
-    if mode not in ("soft", "hard"):
-        raise ValueError(f"unknown f_c mode {mode!r}")
+def f_c_score(clf, agg, x_v, x_u, true_label):
+    """Per-neighbor task score in [0, 1], the reward building block: the
+    predicted probability of v's true class when v aggregates neighbor u alone."""
     true_label = int(true_label)
     if not 0 <= true_label < clf.num_classes:
         raise ValueError(f"label {true_label} outside [0, {clf.num_classes})")
-    probs = classify_batch(clf, aggregate(agg, x, neighbor_features)[None])[0]
-    if mode == "hard":
-        return 1.0 if int(np.argmax(probs)) == true_label else 0.0
-    return float(probs[true_label])
+    return float(classify_batch(clf, aggregate(agg, x_v, [x_u])[None])[0, true_label])
 
 
 def micro_f1(predictions, labels):
@@ -193,15 +184,16 @@ def train_representation(agg, clf, graph, selected_sets, epochs, batch_size=256,
     labels = graph.labels[train_ids]
     opt = nn.adam_init([agg.W, clf.V], lr=lr)
     history = []
-    for _ in range(int(epochs)):
-        order = rng.permutation(train_ids.size)
-        total = 0.0
-        for start in range(0, train_ids.size, batch_size):
-            rows = order[start:start + batch_size]
-            loss, d_w, d_v = prediction_loss_grads(agg, clf, means[rows], labels[rows])
-            agg.W, clf.V = nn.adam_step(opt, [agg.W, clf.V], [d_w, d_v])
-            total += loss * rows.size
-        history.append(total / train_ids.size)
+    with np.errstate(over="ignore"):  # an overflowed g * g is named just below
+        for _ in range(int(epochs)):
+            order = rng.permutation(train_ids.size)
+            total = 0.0
+            for start in range(0, train_ids.size, batch_size):
+                rows = order[start:start + batch_size]
+                loss, d_w, d_v = prediction_loss_grads(agg, clf, means[rows], labels[rows])
+                agg.W, clf.V = nn.adam_step(opt, [agg.W, clf.V], [d_w, d_v])
+                total += loss * rows.size
+            history.append(total / train_ids.size)
     nn.check_second_moments(opt, "representation fit")
     return agg, clf, history
 

@@ -51,15 +51,6 @@ class SetFunction:
         return self.evaluate(subset | {item}) - self.evaluate(subset)
 
 
-class LambdaSetFunction(SetFunction):
-    def __init__(self, ground, fn, k_max):
-        super().__init__(ground, k_max)
-        self._fn = fn
-
-    def evaluate(self, subset):
-        return float(self._fn(frozenset(subset)))
-
-
 class CoverageFunction(SetFunction):
     """Weighted coverage: f(A) = total weight of universe elements covered by A."""
 
@@ -96,17 +87,14 @@ class SelectionRewardFunction(SetFunction):
     as S grows, which is exactly what the checkers probe.
     """
 
-    def __init__(self, graph, node, agg, clf, fc_mode="soft", k_max=None):
+    def __init__(self, graph, node, agg, clf):
         neighbors = [int(u) for u in graph.neighbors(node)]
         if not neighbors:
             raise ValueError(f"node {node} has no neighbors to select from")
-        super().__init__(neighbors, k_max if k_max is not None else len(neighbors))
+        super().__init__(neighbors, len(neighbors))
         self.node = int(node)
-        self.values = {
-            u: rep.f_c_score(clf, agg, graph.features[node], [graph.features[u]],
-                             graph.labels[node], mode=fc_mode)
-            for u in neighbors
-        }
+        self.values = {u: rep.f_c_score(clf, agg, graph.features[node], graph.features[u],
+                                        graph.labels[node]) for u in neighbors}
 
     def order_value(self, sequence):
         """Accumulated reward of accepting the given ids in the given order."""

@@ -47,8 +47,8 @@ class TrainConfig:
 
     def __post_init__(self):
         policy_mod.check_field_types(self)
-        if self.fc_mode not in ("soft", "hard"):
-            raise ValueError(f"fc_mode must be 'soft' or 'hard', got {self.fc_mode!r}")
+        if self.fc_mode != "soft":  # the only task score; kept so saved configs still load
+            raise ValueError(f"fc_mode must be 'soft', got {self.fc_mode!r}")
         for name, low in (("outer_iters", 0), ("rep_lr", 0), ("rep_epochs", 1), ("batch_size", 1),
                           ("embed_dim", 1), ("rollouts_per_node", 1)):
             if getattr(self, name) < low:
@@ -158,7 +158,7 @@ def train(graph, cfg):
             trajectories = [
                 env.rollout(graph, int(v), policy, agg, spawn_rng(cfg.seed, _K_COLLECT, it, v, r))
                 for v in train_ids for r in range(cfg.rollouts_per_node)]
-            trajectories = [env.pay_rewards(graph, t, agg, clf, cfg.fc_mode)
+            trajectories = [env.pay_rewards(graph, t, agg, clf)
                             for t in trajectories if t.transitions]
             if trajectories:
                 policy, diag = policy_mod.ppo_update(

@@ -186,7 +186,7 @@ def _reject_constant(name):
     raise ValueError(f"{name} is not JSON")
 
 
-def test_train_metrics_are_strict_json_without_val_nodes(tmp_path):
+def test_train_metrics_are_strict_json_without_val_nodes(tmp_path, capsys):
     # six nodes in two classes: the stratified split leaves no val nodes
     assert run(["synth", "--n", "6", "--classes", "2", "--p-in", "0.8", "--dim", "3",
                 "--out-dir", str(tmp_path)]) == 0
@@ -194,6 +194,7 @@ def test_train_metrics_are_strict_json_without_val_nodes(tmp_path):
     out = tmp_path / "run"
     assert run(["train", "--graph", str(tmp_path / "graph.json"), "--iters", "2",
                 "--rep-epochs", "2", "--embed-dim", "4", "--out-dir", str(out)]) == 0
+    assert capsys.readouterr().out.rstrip().endswith("last val_f1 none (no val nodes)")
     lines = (out / "metrics.jsonl").read_text().splitlines()
     assert len(lines) == 2
     for line in lines:
@@ -227,6 +228,14 @@ def test_unknown_config_key_is_validation_error(tmp_path, capsys):
         assert key in capsys.readouterr().err
 
 
+def test_fc_mode_flag_is_gone(tmp_path):
+    # the soft score of one (target, neighbour) pair is the only task score
+    assert run(synth_args(tmp_path)) == 0
+    assert run(["train", "--graph", str(tmp_path / "graph.json"), "--fc-mode", "soft",
+                "--iters", "0", "--out-dir", str(tmp_path / "run")]) == 1
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("overrides, named", [
     ([1, 2], "JSON object"),
     ({"ppo": 3}, "ppo"),
@@ -241,6 +250,7 @@ def test_unknown_config_key_is_validation_error(tmp_path, capsys):
     ({"rep_lr": -0.001}, "rep_lr must be >= 0"),
     ({"ppo": {"kl_coeff": 0}}, "kl_coeff must be positive"),
     ({"ppo": {"lr": -1}}, "lr must be >= 0"),
+    ({"fc_mode": "hard"}, "fc_mode must be 'soft'"),
 ])
 def test_config_shape_is_validation_error(tmp_path, capsys, overrides, named):
     assert run(synth_args(tmp_path)) == 0

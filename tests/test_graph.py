@@ -1,3 +1,4 @@
+import hashlib
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -90,6 +91,37 @@ def test_planted_partition_deterministic():
     a = generate_planted_partition(60, 3, 0.3, 0.05, 5, 1.0, seed=42)
     b = generate_planted_partition(60, 3, 0.3, 0.05, 5, 1.0, seed=42)
     assert graphs_equal(a, b)
+
+
+def test_planted_partition_memory_is_linear_in_nodes():
+    # all n(n - 1)/2 pairs at 3,000 nodes take 72 MB of int64 indices alone
+    tracemalloc.start()
+    try:
+        g = generate_planted_partition(3000, 2, 0.01, 0.0, 8, 1.0, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.num_edges > 0
+    assert peak < 30 * 2**20
+
+
+# sha256 of save_graph_json for the gate-4/5 graphs (200 nodes plus 30% edge noise)
+GATE_GRAPH_DIGESTS = {
+    0: "6946039208911736ef776b0b1a22e898734998d796b2c422ffcdfafc928abef0",
+    1: "e7da1e079de41a7277bb32c8ec5385c703d473c149a85c76c8d17bd416b44cb5",
+    2: "86e27909683bc2020b92decad62381d018062f6e1af7424854d20e079b3fcc0c",
+    3: "ccbc1949635aa7238f68f3e9d6e335eb974e5448c78c559caec2b45b45c61bd3",
+    4: "b5c10d1bfe853c5516b84a60f3c2c4bbfc5bd43d9e72675fe837c15e3ff545c8",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(GATE_GRAPH_DIGESTS))
+def test_gate_graphs_are_pinned(tmp_path, seed):
+    clean = generate_planted_partition(200, 2, 0.1, 0.0, 8, 1.0, seed=seed)
+    save_graph_json(inject_edge_noise(clean, NoiseSpec(edge_noise_rate=0.3, seed=seed + 1000)),
+                    tmp_path / "gate.json")
+    digest = hashlib.sha256((tmp_path / "gate.json").read_bytes()).hexdigest()
+    assert digest == GATE_GRAPH_DIGESTS[seed]
 
 
 def test_planted_partition_validates_inputs():

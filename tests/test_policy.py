@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -227,6 +228,19 @@ def test_ppo_normalized_returns_balanced_signs():
     _, diag = ppo_update(policy, trajs, cfg=PPOConfig(update_epochs=0),
                          rng=np.random.default_rng(0))
     assert diag["mean_return"] == pytest.approx(0.5)
+
+
+def test_ppo_adam_overflow_is_named_before_any_warning():
+    # states of magnitude 1e200 square past float64 in the weight gradients
+    policy = make_policy()
+    batch = make_batch(policy, seed=4)
+    for traj in batch:
+        for t in traj.transitions:
+            t.state = t.state * 1e200
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="PPO round: Adam second moment overflowed"):
+            ppo_update(policy, batch, cfg=PPOConfig(update_epochs=2, minibatch_size=32))
 
 
 def test_surrogate_gradient_matches_finite_differences():

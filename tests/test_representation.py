@@ -76,26 +76,14 @@ def test_f_c_confident_correct_scores_one():
     v = np.array([[1e3, 0.0], [-1e3, 0.0]])
     clf = rep.ClassifierParams(v)
     x = np.array([5.0, 0.0])
-    assert rep.f_c_score(clf, agg, x, [], 0, mode="soft") == pytest.approx(1.0, abs=1e-9)
-    assert rep.f_c_score(clf, agg, x, [], 0, mode="hard") == 1.0
+    # u = x: (x + x) / 2 is exactly x, so this scores x on its own
+    assert rep.f_c_score(clf, agg, x, x, 0) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_f_c_uniform_classifier_soft_is_one_over_c():
     agg = rep.AggregatorParams(np.eye(3))
     clf = rep.ClassifierParams(np.zeros((3, 3)))
-    assert rep.f_c_score(clf, agg, np.ones(3), [], 2, mode="soft") == pytest.approx(1 / 3)
-
-
-def test_f_c_hard_equals_single_sample_micro_f1():
-    rng = np.random.default_rng(4)
-    agg = rep.init_aggregator(4, 3, rng)
-    clf = rep.init_classifier(3, 4, rng)
-    for _ in range(20):
-        x = rng.standard_normal(3)
-        label = int(rng.integers(3))
-        hard = rep.f_c_score(clf, agg, x, [], label, mode="hard")
-        pred = int(np.argmax(rep.classify_batch(clf, rep.aggregate(agg, x, [])[None])))
-        assert hard == rep.micro_f1([pred], [label])
+    assert rep.f_c_score(clf, agg, np.ones(3), np.ones(3), 2) == pytest.approx(1 / 3)
 
 
 def test_f_c_score_stays_in_unit_interval():
@@ -104,7 +92,7 @@ def test_f_c_score_stays_in_unit_interval():
     clf = rep.init_classifier(3, 4, rng)
     for _ in range(50):
         s = rep.f_c_score(clf, agg, rng.standard_normal(3),
-                          [rng.standard_normal(3)], int(rng.integers(3)))
+                          rng.standard_normal(3), int(rng.integers(3)))
         assert 0.0 <= s <= 1.0
 
 
@@ -112,7 +100,7 @@ def test_f_c_invalid_label_rejected():
     agg = rep.AggregatorParams(np.eye(2))
     clf = rep.ClassifierParams(np.zeros((2, 2)))
     with pytest.raises(ValueError):
-        rep.f_c_score(clf, agg, np.zeros(2), [], 2)
+        rep.f_c_score(clf, agg, np.zeros(2), np.zeros(2), 2)
 
 
 def test_micro_f1_all_correct_and_all_wrong():

@@ -5,11 +5,20 @@ from graphdenoise import env
 from graphdenoise import policy as policy_mod
 from graphdenoise import representation as rep
 from graphdenoise.graph import generate_planted_partition
-from graphdenoise.submodular import (CoverageFunction, SelectionRewardFunction,
-                                     LambdaSetFunction, brute_force_optimal, check_monotone,
-                                     check_submodular, greedy_maximize)
+from graphdenoise.submodular import (CoverageFunction, SelectionRewardFunction, SetFunction,
+                                     brute_force_optimal, check_monotone, check_submodular,
+                                     greedy_maximize)
 
 BOUND = 1.0 - 1.0 / np.e
+
+
+class LambdaSetFunction(SetFunction):
+    def __init__(self, ground, fn, k_max):
+        super().__init__(ground, k_max)
+        self._fn = fn
+
+    def evaluate(self, subset):
+        return float(self._fn(frozenset(subset)))
 
 
 def modular(values, k_max):
@@ -17,7 +26,7 @@ def modular(values, k_max):
     return LambdaSetFunction(values.keys(), lambda s: sum(values[i] for i in s), k_max)
 
 
-def make_reward_fn(seed=0, embed=8, fc_mode="soft", min_degree=3, max_degree=None):
+def make_reward_fn(seed=0, embed=8, min_degree=3, max_degree=None):
     g = generate_planted_partition(50, 2, 0.35, 0.12, 8, 1.0, seed=seed)
     rng = np.random.default_rng(seed + 100)
     agg = rep.init_aggregator(embed, 8, rng)
@@ -25,7 +34,7 @@ def make_reward_fn(seed=0, embed=8, fc_mode="soft", min_degree=3, max_degree=Non
     for v in range(g.num_nodes):
         deg = g.degree(v)
         if deg >= min_degree and (max_degree is None or deg <= max_degree):
-            return SelectionRewardFunction(g, v, agg, clf, fc_mode=fc_mode), g, v, agg, clf
+            return SelectionRewardFunction(g, v, agg, clf), g, v, agg, clf
     raise AssertionError("no node with requested degree")
 
 
@@ -161,13 +170,6 @@ def test_reward_function_properties_hold_on_random_snapshots():
         f, *_ = make_reward_fn(seed=seed)
         assert check_monotone(f, 300, rng).passed
         assert check_submodular(f, 300, rng).passed
-
-
-def test_reward_function_hard_mode_properties():
-    f, *_ = make_reward_fn(seed=1, fc_mode="hard")
-    rng = np.random.default_rng(6)
-    assert check_monotone(f, 200, rng).passed
-    assert check_submodular(f, 200, rng).passed
 
 
 def test_reward_marginal_equals_environment_step_reward():

@@ -1,4 +1,5 @@
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -112,6 +113,17 @@ def test_train_scores_each_ppo_accept_once(monkeypatch):
     assert counts["rounds"] == 3
     assert counts["accepts"] > 0
     assert counts["scores"] == counts["accepts"]
+
+
+def test_adam_overflow_is_named_before_any_warning():
+    # features of magnitude 1e300 overflow the fit's squared gradients
+    g = small_graph()
+    big = build_graph(g.num_nodes, g.edge_list(), g.features * 1e300, g.labels,
+                      masks={"train": g.train_mask, "val": g.val_mask, "test": g.test_mask})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="representation fit: Adam second moment overflowed"):
+            trainer.train(big, small_config())
 
 
 def test_select_all_baseline_skips_policy_learning():
@@ -248,7 +260,7 @@ def test_metrics_writer_is_deterministic(tmp_path):
 
 
 def test_config_round_trip():
-    cfg = small_config(fc_mode="hard", rollouts_per_node=2)
+    cfg = small_config(rollouts_per_node=2)
     again = TrainConfig.from_dict(cfg.to_dict())
     assert again.to_dict() == cfg.to_dict()
     assert isinstance(again.ppo, PPOConfig)
@@ -281,6 +293,7 @@ def test_config_validation():
     (TrainConfig, "rep_lr", "fast"),
     (TrainConfig, "select_all", "no"),
     (TrainConfig, "fc_mode", "medium"),
+    (TrainConfig, "fc_mode", "hard"),  # the soft score is the only task score
     (PPOConfig, "minibatch_size", "a"),
     (PPOConfig, "gamma", True),
 ])
