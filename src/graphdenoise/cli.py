@@ -187,11 +187,12 @@ def cmd_train(args):
     metrics = os.path.join(args.out_dir, "metrics.jsonl")
     trainer.save_checkpoint(ckpt, result.policy, result.agg, result.clf, cfg.to_dict())
     trainer.write_metrics(metrics, result.history)
-    last_val = result.history[-1]["val_f1"] if result.history else float("nan")
-    if not g.val_mask.any():  # metrics.jsonl writes null
-        last_val = "none (no val nodes)"
-    print(f"wrote {ckpt} (best iteration {result.best_iteration}), "
-          f"last val_f1 {last_val}")
+    if not result.history:
+        print(f"wrote {ckpt}: no iteration ran, so it holds the initial parameters")
+        return 0
+    # metrics.jsonl writes null for a val_f1 without val nodes
+    last_val = result.history[-1]["val_f1"] if g.val_mask.any() else "none (no val nodes)"
+    print(f"wrote {ckpt} (best iteration {result.best_iteration}), last val_f1 {last_val}")
     return 0
 
 

@@ -94,7 +94,7 @@ def init_episode(graph, v, agg):
     # END carries an all-zero feature vector, so its embedding relu(W 0) is zero
     table = np.zeros((neighbors.size + 1, 2 * agg.embed_dim))
     table[:-1, agg.embed_dim:] = rep.embed_means(agg, graph.features[neighbors])
-    table[:, :agg.embed_dim] = rep.aggregate(agg, graph.features[v], [])
+    table[:, :agg.embed_dim] = rep.aggregate(agg, graph.features[v], graph.features[:0])
     return EpisodeState(target=int(v), selected=[], candidates=neighbors.tolist() + [END],
                         rows=list(range(neighbors.size + 1)), table=table)
 

@@ -2,10 +2,10 @@
 scores, and micro-averaged F1.
 
 A node's embedding is relu(W @ mean({x_v} union neighbor features)); with no
-neighbors the mean collapses to the node's own feature vector. The classifier
-is a linear softmax head over embeddings, trained jointly with the aggregator
-by cross-entropy on training nodes only. That maths runs only in embed_means
-and classify_batch; single nodes go through them as one-row batches.
+neighbors the mean collapses to the node's own feature vector. node_mean_vectors
+is the one place that averages kept sets; the fit trains the aggregator and the
+linear softmax head by cross-entropy on the means its caller passes. That maths
+runs only in embed_means and classify_batch; single nodes are one-row batches.
 """
 
 from __future__ import annotations
@@ -59,13 +59,9 @@ def init_classifier(num_classes, embed_dim, rng):
     return ClassifierParams(nn.glorot(num_classes, embed_dim, rng))
 
 
-def mean_with_self(x, neighbor_features):
-    """Mean of the node's own features and its neighbors'; self-only if none.
-
-    neighbor_features is an (m, D) array or a list of m length-D rows.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    rows = np.asarray(neighbor_features, dtype=np.float64)
+def mean_with_self(x, rows):
+    """Mean of the node's own (D,) features x and its neighbors' (m, D) rows;
+    self-only if m is 0."""
     if len(rows) == 0:
         return x.copy()
     if rows.shape[1:] != x.shape:
@@ -73,9 +69,9 @@ def mean_with_self(x, neighbor_features):
     return np.concatenate([x[None], rows]).sum(axis=0) / (len(rows) + 1)  # mean(0), bit for bit
 
 
-def aggregate(agg, x, neighbor_features):
-    """Embed a node from its own features plus a set of neighbor features."""
-    m = mean_with_self(x, neighbor_features)
+def aggregate(agg, x, rows):
+    """Embed a node from its own (D,) features plus its neighbors' (m, D) rows."""
+    m = mean_with_self(x, rows)
     if m.shape[0] != agg.feature_dim:
         raise ValueError(f"feature dim {m.shape[0]} != aggregator dim {agg.feature_dim}")
     return embed_means(agg, m[None])[0]
@@ -97,7 +93,7 @@ def f_c_score(clf, agg, x_v, x_u, true_label):
     true_label = int(true_label)
     if not 0 <= true_label < clf.num_classes:
         raise ValueError(f"label {true_label} outside [0, {clf.num_classes})")
-    return float(classify_batch(clf, aggregate(agg, x_v, [x_u])[None])[0, true_label])
+    return float(classify_batch(clf, aggregate(agg, x_v, x_u[None])[None])[0, true_label])
 
 
 def micro_f1(predictions, labels):
@@ -157,43 +153,41 @@ def node_mean_vectors(graph, node_ids, neighbor_sets):
     return means
 
 
-def train_representation(agg, clf, graph, selected_sets, epochs, batch_size=256,
-                         lr=1e-3, rng=None):
-    """Fit aggregator + classifier on train-mask nodes over fixed neighbor sets.
+def train_representation(agg, clf, means, labels, epochs, batch_size=256, lr=1e-3, rng=None):
+    """Fit aggregator + classifier on (m, D) mean vectors and their m labels.
 
-    selected_sets maps node id -> ids of the neighbors to aggregate (must be
-    a subset of the node's neighbors). Returns (new agg, new clf, per-epoch
-    mean loss history); the inputs are not mutated. An Adam second moment
+    Returns (new agg, new clf, per-epoch mean loss history); the inputs are
+    not mutated. An empty batch, m labels for another m, a width other than
+    agg.feature_dim, a label outside the classes or an Adam second moment
     that overflowed during the fit is a ValueError.
     """
     rng = rng or np.random.default_rng(0)
-    train_ids = np.flatnonzero(graph.train_mask)
-    if train_ids.size == 0:
-        raise ValueError("graph has no training nodes")
-    for v in train_ids:
-        sel = np.asarray(selected_sets[v], dtype=np.int64)
-        if sel.size and not np.isin(sel, graph.neighbors(v)).all():
-            raise ValueError(f"selected set of node {v} is not a subset of its neighbors")
+    if means.ndim != 2 or means.shape[0] == 0:
+        raise ValueError(f"means must be a non-empty (m, D) batch, got shape {means.shape}")
+    if labels.shape != means.shape[:1]:
+        raise ValueError(f"labels of shape {labels.shape} for {means.shape[0]} mean vectors")
+    if means.shape[1] != agg.feature_dim:
+        raise ValueError(f"mean width {means.shape[1]} != aggregator dim {agg.feature_dim}")
+    outside = labels[(labels < 0) | (labels >= clf.num_classes)]
+    if outside.size:
+        raise ValueError(f"label {outside[0]} outside [0, {clf.num_classes})")
 
     agg = agg.copy()
     clf = clf.copy()
     if epochs <= 0:
         return agg, clf, []
 
-    means = node_mean_vectors(graph, train_ids, selected_sets)
-    labels = graph.labels[train_ids]
     opt = nn.adam_init([agg.W, clf.V], lr=lr)
     history = []
     with np.errstate(over="ignore"):  # an overflowed g * g is named just below
         for _ in range(int(epochs)):
-            order = rng.permutation(train_ids.size)
+            order = rng.permutation(labels.size)
             total = 0.0
-            for start in range(0, train_ids.size, batch_size):
+            for start in range(0, labels.size, batch_size):
                 rows = order[start:start + batch_size]
                 loss, d_w, d_v = prediction_loss_grads(agg, clf, means[rows], labels[rows])
                 agg.W, clf.V = nn.adam_step(opt, [agg.W, clf.V], [d_w, d_v])
                 total += loss * rows.size
-            history.append(total / train_ids.size)
+            history.append(total / labels.size)
     nn.check_second_moments(opt, "representation fit")
     return agg, clf, history
-

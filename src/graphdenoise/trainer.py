@@ -2,8 +2,9 @@
 improvement, plus evaluation, denoised-graph export and selection statistics.
 
 Each outer iteration first freezes the policy and walks (unpriced) one
-episode per training node to pick the sets that fit the aggregator and
-classifier, then freezes those, pays fresh walks and runs PPO on them.
+episode per training node; the means over the kept sets (built once for
+keep-all) fit the aggregator and classifier. Then it freezes those, pays
+fresh walks and runs PPO on them.
 Validation micro-F1 is logged per iteration and the best-validation
 parameters are the ones returned. Evaluation decodes greedily (accept the
 top-priority candidate while its selection probability is at least 0.5,
@@ -136,20 +137,23 @@ def train(graph, cfg):
     best = (policy, agg, clf)
     best_val, best_iter = -np.inf, -1
     history = []
+    labels = graph.labels[train_ids]
+    if cfg.select_all:
+        means = rep.node_mean_vectors(graph, train_ids,
+                                      _decoded_sets(graph, policy, agg, "all", train_ids))
 
     for it in range(cfg.outer_iters):
         # phase 1: freeze the policy, walk (unpriced) to materialize selection
-        # sets, fit the aggregator + classifier on them
-        if cfg.select_all:
-            selected = {int(v): graph.neighbors(v) for v in train_ids}
-        else:
+        # sets, fit the aggregator + classifier on their means
+        if not cfg.select_all:
             selected = {}
             for v in train_ids:
                 traj = env.rollout(graph, int(v), policy, agg,
                                    spawn_rng(cfg.seed, _K_SELECT, it, v))
                 selected[int(v)] = [t.candidate for t in traj.transitions if t.action == 1]
+            means = rep.node_mean_vectors(graph, train_ids, selected)
         agg, clf, losses = rep.train_representation(
-            agg, clf, graph, selected, cfg.rep_epochs, cfg.batch_size,
+            agg, clf, means, labels, cfg.rep_epochs, cfg.batch_size,
             cfg.rep_lr, spawn_rng(cfg.seed, _K_REP, it))
 
         # phase 2: freeze the representation, pay fresh walks, improve the policy
@@ -210,40 +214,41 @@ def _decoded_sets(graph, policy, agg, selection, nodes):
     return {int(v): greedy_select(graph, int(v), policy, agg) for v in nodes}
 
 
-def predict(policy, agg, clf, graph, nodes, selection="policy"):
-    """Greedy-decoded class predictions for the given nodes."""
-    selected = _decoded_sets(graph, policy, agg, selection, nodes)
-    means = rep.node_mean_vectors(graph, nodes, selected)
-    probs = rep.classify_batch(clf, rep.embed_means(agg, means))
-    return np.argmax(probs, axis=1)
-
-
 def evaluate(policy, agg, clf, graph, mask="test", selection="policy"):
-    """Micro-F1 over a mask ("val"/"test") or an explicit node id array."""
+    """Micro-F1 over a mask ("val"/"test") or a 1-d array of node ids; an id
+    that is no integer or lies outside [0, n) is a ValueError naming it."""
     if isinstance(mask, str):
         if mask not in ("val", "test"):
             raise ValueError(f"mask must be 'val' or 'test', got {mask!r}")
         nodes = np.flatnonzero(graph.val_mask if mask == "val" else graph.test_mask)
     else:
-        nodes = np.asarray(mask, dtype=np.int64)
+        nodes = np.asarray(mask)
+        if nodes.ndim != 1:
+            raise ValueError(f"node ids must be a 1-d array, got shape {nodes.shape}")
+        if nodes.size and nodes.dtype.kind not in "iu":
+            raise ValueError(f"node id {nodes[0].item()!r} is not an integer")
+        outside = nodes[(nodes < 0) | (nodes >= graph.num_nodes)]
+        if outside.size:
+            raise ValueError(f"node id {outside[0]} outside [0, {graph.num_nodes})")
     if nodes.size == 0:
         raise ValueError("evaluation mask is empty")
     labels = graph.labels[nodes]
     if labels.max() >= clf.num_classes:
         raise ValueError(f"label {labels.max()} outside the classifier's {clf.num_classes} classes")
-    preds = predict(policy, agg, clf, graph, nodes, selection)
+    means = rep.node_mean_vectors(graph, nodes, _decoded_sets(graph, policy, agg, selection, nodes))
+    preds = np.argmax(rep.classify_batch(clf, rep.embed_means(agg, means)), axis=1)
     return rep.micro_f1(preds, labels)
 
 
 def export_denoised_graph(policy, agg, graph, path, selection="policy"):
     """Write the kept-edge list and return the denoised graph.
 
-    Edge (u, v) survives iff u keeps v or v keeps u (the union preserves
-    undirectedness); output edges are always a subset of the input edges.
+    Every kept (v, u) pair goes to build_graph, whose symmetrize-and-dedupe
+    is the union rule: edge (u, v) survives iff u keeps v or v keeps u.
+    Output edges are always a subset of the input edges.
     """
-    all_nodes = np.arange(graph.num_nodes)
-    kept_sets = _decoded_sets(graph, policy, agg, selection, all_nodes)
-    edges = [(u, v) for u, v in graph.edge_list() if v in kept_sets[u] or u in kept_sets[v]]
+    kept_sets = _decoded_sets(graph, policy, agg, selection, range(graph.num_nodes))
+    edges = [(v, u) for v, kept in kept_sets.items() for u in kept]
     denoised = build_graph(graph.num_nodes, edges, graph.features, graph.labels,
                            masks={"train": graph.train_mask, "val": graph.val_mask,
                                   "test": graph.test_mask})
@@ -253,8 +258,7 @@ def export_denoised_graph(policy, agg, graph, path, selection="policy"):
 
 def selection_report(policy, agg, graph, selection="policy"):
     """Kept-neighbor fraction per non-isolated node plus a 10-bin histogram."""
-    nodes = np.array([v for v in range(graph.num_nodes) if graph.degree(v) > 0],
-                     dtype=np.int64)
+    nodes = np.flatnonzero(np.diff(graph.indptr))
     kept_sets = _decoded_sets(graph, policy, agg, selection, nodes)
     fractions = np.array([len(kept_sets[int(v)]) / graph.degree(v) for v in nodes])
     histogram, _ = np.histogram(fractions, bins=10, range=(0.0, 1.0))

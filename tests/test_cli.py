@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -99,6 +100,17 @@ def test_train_zero_iterations_writes_init_checkpoint(tmp_path):
     assert np.array_equal(agg.W, init_agg.W)
     assert np.array_equal(clf.V, init_clf.V)
     assert (out / "metrics.jsonl").read_text() == ""
+
+
+def test_train_zero_iterations_says_no_iteration_ran(tmp_path, capsys):
+    assert run(["synth", "--n", "60", "--classes", "2", "--p-in", "0.3", "--dim", "4",
+                "--out-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert run(["train", "--graph", str(tmp_path / "graph.json"), "--iters", "0",
+                "--embed-dim", "4", "--out-dir", str(tmp_path / "run")]) == 0
+    out = capsys.readouterr().out
+    assert "no iteration ran" in out
+    assert "nan" not in out and "best iteration" not in out
 
 
 def _train(tmp_path, out_name, seed=9, extra=()):
@@ -398,3 +410,43 @@ def test_edge_list_format_via_cli(tmp_path):
                 "--labels", str(tmp_path / "labels.txt"),
                 "--edge-noise", "0.0", "--out-dir", str(out)]) == 0
     assert load_graph(out / "graph.json").num_nodes == 3
+
+
+# sha256 of each artifact of a small seeded pipeline. A refactor that keeps
+# every float must keep these bytes; a change that moves them must say why
+# and re-pin them here.
+PINNED_ARTIFACTS = {
+    "policy/checkpoint.json": "f5fa7c29818b971433af4acea37cbff658001271f6b829456be0f0e68616219d",
+    "policy/metrics.jsonl": "c36f3d9d642ccfcb21ff6aebcaff19737eaed0f1ec299e9b4c123f63115f76fc",
+    "policy/eval.json": "78db232a0bf11c7c6df4bc962c84daa4212f56c06c41162f702fcaea9271fb41",
+    "policy/denoised_edges.txt": "1ba04e563436d1c4e0bcb0e5c1eab91db85e46293cf7a4443fe3f737c74feea3",
+    "policy/selection_report.json": "f85f72cc7b0618facca82ef8e6437e9c13ef76bcbcdde914df3aac20c5f862f4",
+    "base/checkpoint.json": "05a190cec9df35fdeb70f37b2d65d1c3d4c32d099ead2867fcbb67a7ddf9590c",
+    "base/metrics.jsonl": "4e1a1754fa23bf54471b3c0117bc2034e4f862f18ae56f1943bdffa7fd85dfa7",
+    "base/eval.json": "c0c49e84b90542d0f89f7efee26061ca8d73ff18b62d9e1d3c6a996ab1e65650",
+    "base/denoised_edges.txt": "3807883a2b1e204706637a0176ad6e6cad64f81659ca1611c24a6e4ca5fb49b5",
+    "base/selection_report.json": "6a112af1a8e537b0a86c8b7c4827fbc6b89abca6a8e904da2f9c864a28bd7e94",
+}
+
+
+def test_pipeline_artifacts_are_pinned(tmp_path):
+    assert run(synth_args(tmp_path)) == 0
+    assert run(["noise", "--graph", str(tmp_path / "graph.json"), "--edge-noise", "0.3",
+                "--seed", "3", "--out-dir", str(tmp_path / "noisy")]) == 0
+    graph_arg = ["--graph", str(tmp_path / "noisy" / "graph.json")]
+    (tmp_path / "cfg.json").write_text(json.dumps({"rep_lr": 0.03}))
+    digests = {}
+    for name, train_flags, selection in (("policy", [], "policy"),
+                                         ("base", ["--select-all"], "all")):
+        out = tmp_path / name
+        assert run(["train", *graph_arg, "--iters", "3", "--rep-epochs", "20",
+                    "--embed-dim", "6", "--batch-size", "16", "--seed", "6",
+                    "--config", str(tmp_path / "cfg.json"), "--out-dir", str(out),
+                    *train_flags]) == 0
+        ckpt = ["--checkpoint", str(out / "checkpoint.json"), "--selection", selection]
+        for command in ("eval", "denoise", "report"):
+            assert run([command, *graph_arg, *ckpt, "--out-dir", str(out)]) == 0
+        for artifact in ("checkpoint.json", "metrics.jsonl", "eval.json",
+                         "denoised_edges.txt", "selection_report.json"):
+            digests[f"{name}/{artifact}"] = hashlib.sha256(read(out / artifact)).hexdigest()
+    assert digests == PINNED_ARTIFACTS

@@ -277,14 +277,13 @@ def test_incremental_embedding_matches_recomputation():
         u = state.take(0)
         if rng.integers(2):
             state.accept(g, agg, u)
-        scratch = rep.aggregate(agg, g.features[v],
-                                [g.features[w] for w in state.selected])
+        scratch = rep.aggregate(agg, g.features[v], g.features[state.selected])
         assert np.max(np.abs(state.table[:, :6] - scratch)) < 1e-12
     # rollout states carry the same incremental embedding
     traj = env.rollout(g, v, policy, agg, np.random.default_rng(6))
     selected = []
     for t in traj.transitions:
-        scratch = rep.aggregate(agg, g.features[v], [g.features[w] for w in selected])
+        scratch = rep.aggregate(agg, g.features[v], g.features[selected])
         assert np.max(np.abs(t.state[:6] - scratch)) < 1e-12
         if t.action == 1:
             selected.append(t.candidate)

@@ -1,10 +1,11 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from graphdenoise import representation as rep
-from graphdenoise.graph import build_graph, generate_planted_partition
+from graphdenoise.graph import generate_planted_partition
 
 
 def test_aggregate_empty_neighbors_is_self_embedding():
@@ -18,13 +19,13 @@ def test_aggregate_identical_neighbors_match_empty_set():
     rng = np.random.default_rng(1)
     agg = rep.init_aggregator(4, 3, rng)
     x = rng.standard_normal(3)
-    assert np.allclose(rep.aggregate(agg, x, [x.copy(), x.copy()]),
+    assert np.allclose(rep.aggregate(agg, x, np.stack([x, x])),
                        rep.aggregate(agg, x, []), atol=1e-12)
 
 
 def test_aggregate_zero_weights_give_zero_embedding():
     agg = rep.AggregatorParams(np.zeros((4, 3)))
-    out = rep.aggregate(agg, np.array([9.0, -3.0, 2.0]), [np.ones(3)])
+    out = rep.aggregate(agg, np.array([9.0, -3.0, 2.0]), np.ones((1, 3)))
     assert np.all(out == 0.0)
 
 
@@ -32,17 +33,17 @@ def test_aggregate_is_permutation_invariant():
     rng = np.random.default_rng(2)
     agg = rep.init_aggregator(6, 4, rng)
     x = rng.standard_normal(4)
-    nbrs = [rng.standard_normal(4) for _ in range(5)]
+    nbrs = rng.standard_normal((5, 4))
     base = rep.aggregate(agg, x, nbrs)
     for _ in range(5):
         order = rng.permutation(5)
-        assert np.allclose(rep.aggregate(agg, x, [nbrs[i] for i in order]), base, atol=1e-12)
+        assert np.allclose(rep.aggregate(agg, x, nbrs[order]), base, atol=1e-12)
 
 
 def test_aggregate_rejects_dimension_mismatch():
     agg = rep.AggregatorParams(np.zeros((4, 3)))
     with pytest.raises(ValueError):
-        rep.aggregate(agg, np.zeros(3), [np.zeros(2)])
+        rep.aggregate(agg, np.zeros(3), np.zeros((1, 2)))
     with pytest.raises(ValueError):
         rep.aggregate(agg, np.zeros(5), [])
 
@@ -136,8 +137,11 @@ def test_micro_f1_rejects_empty_and_mismatched():
         rep.micro_f1([0, 1], [0])
 
 
-def _full_sets(g):
-    return {v: g.neighbors(v) for v in range(g.num_nodes)}
+def _train_means(g):
+    """Keep-all mean vectors and labels of g's training nodes."""
+    train_ids = np.flatnonzero(g.train_mask)
+    sets = {v: g.neighbors(v) for v in train_ids}
+    return rep.node_mean_vectors(g, train_ids, sets), g.labels[train_ids]
 
 
 def test_train_representation_learns_separable_data():
@@ -145,12 +149,11 @@ def test_train_representation_learns_separable_data():
     rng = np.random.default_rng(1)
     agg = rep.init_aggregator(8, 6, rng)
     clf = rep.init_classifier(3, 8, rng)
-    agg, clf, losses = rep.train_representation(agg, clf, g, _full_sets(g), epochs=100,
+    means, labels = _train_means(g)
+    agg, clf, losses = rep.train_representation(agg, clf, means, labels, epochs=100,
                                                 lr=1e-2, rng=np.random.default_rng(2))
-    train_ids = np.flatnonzero(g.train_mask)
-    means = rep.node_mean_vectors(g, train_ids, _full_sets(g))
     preds = np.argmax(rep.classify_batch(clf, rep.embed_means(agg, means)), axis=1)
-    assert rep.micro_f1(preds, g.labels[train_ids]) > 0.95
+    assert rep.micro_f1(preds, labels) > 0.95
     assert losses[-1] < losses[0]
 
 
@@ -159,7 +162,7 @@ def test_train_representation_zero_epochs_is_identity():
     rng = np.random.default_rng(0)
     agg = rep.init_aggregator(4, 4, rng)
     clf = rep.init_classifier(2, 4, rng)
-    agg2, clf2, losses = rep.train_representation(agg, clf, g, _full_sets(g), epochs=0)
+    agg2, clf2, losses = rep.train_representation(agg, clf, *_train_means(g), epochs=0)
     assert losses == []
     assert np.array_equal(agg2.W, agg.W)
     assert np.array_equal(clf2.V, clf.V)
@@ -172,7 +175,7 @@ def test_train_representation_loss_decreases_over_first_epochs():
         rng = np.random.default_rng(seed + 10)
         agg = rep.init_aggregator(6, 4, rng)
         clf = rep.init_classifier(2, 6, rng)
-        _, _, losses = rep.train_representation(agg, clf, g, _full_sets(g), epochs=10,
+        _, _, losses = rep.train_representation(agg, clf, *_train_means(g), epochs=10,
                                                 rng=np.random.default_rng(seed))
         assert np.isfinite(losses).all()
         curves.append(losses)
@@ -187,43 +190,27 @@ def test_train_representation_loss_history_is_pinned():
     rng = np.random.default_rng(32)
     agg = rep.init_aggregator(8, 6, rng)
     clf = rep.init_classifier(3, 8, rng)
-    _, _, losses = rep.train_representation(agg, clf, g, _full_sets(g), epochs=5,
+    _, _, losses = rep.train_representation(agg, clf, *_train_means(g), epochs=5,
                                             batch_size=16, lr=1e-2,
                                             rng=np.random.default_rng(33))
     assert losses == [1.221160828186611, 1.1315738451123474, 1.0466326318779957,
                       0.9770788619706442, 0.9094115105356422]
 
 
-def test_train_representation_rejects_non_subset_selection():
-    g = build_graph(3, [(0, 1)], np.eye(3), [0, 1, 1],
-                    masks={"train": np.array([True, True, False]),
-                           "val": np.array([False, False, True]),
-                           "test": np.array([False, False, False])})
-    sets = {0: [2], 1: [0], 2: []}  # node 2 is not a neighbor of node 0
+@pytest.mark.parametrize("means, labels, named", [
+    (np.zeros((0, 3)), np.zeros(0, dtype=np.int64), "non-empty"),
+    (np.zeros(3), np.zeros(1, dtype=np.int64), "non-empty"),
+    (np.zeros((4, 3)), np.zeros(3, dtype=np.int64), "labels of shape (3,) for 4"),
+    (np.zeros((2, 5)), np.zeros(2, dtype=np.int64), "mean width 5 != aggregator dim 3"),
+    (np.zeros((2, 3)), np.array([0, 2]), "label 2 outside [0, 2)"),
+    (np.zeros((2, 3)), np.array([-1, 0]), "label -1 outside [0, 2)"),
+], ids=["empty", "one-d", "length-mismatch", "width", "label-high", "label-negative"])
+def test_train_representation_rejects_bad_batches(means, labels, named):
     rng = np.random.default_rng(0)
     agg = rep.init_aggregator(2, 3, rng)
     clf = rep.init_classifier(2, 2, rng)
-    with pytest.raises(ValueError):
-        rep.train_representation(agg, clf, g, sets, epochs=1)
-
-
-def test_train_representation_ignores_non_train_labels():
-    g = generate_planted_partition(40, 2, 0.4, 0.1, 4, 1.0, seed=5)
-    scrambled_labels = g.labels.copy()
-    off_train = ~g.train_mask
-    scrambled_labels[off_train] = (scrambled_labels[off_train] + 1) % 2
-    g2 = build_graph(g.num_nodes, g.edge_list(), g.features, scrambled_labels,
-                     masks={"train": g.train_mask, "val": g.val_mask, "test": g.test_mask})
-    rng = np.random.default_rng(0)
-    agg = rep.init_aggregator(4, 4, rng)
-    clf = rep.init_classifier(2, 4, rng)
-    a1, c1, l1 = rep.train_representation(agg, clf, g, _full_sets(g), epochs=5,
-                                          rng=np.random.default_rng(7))
-    a2, c2, l2 = rep.train_representation(agg, clf, g2, _full_sets(g2), epochs=5,
-                                          rng=np.random.default_rng(7))
-    assert np.array_equal(a1.W, a2.W)
-    assert np.array_equal(c1.V, c2.V)
-    assert l1 == l2
+    with pytest.raises(ValueError, match=re.escape(named)):
+        rep.train_representation(agg, clf, means, labels, epochs=1)
 
 
 def test_prediction_loss_grads_match_finite_differences():

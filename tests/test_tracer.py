@@ -2,8 +2,12 @@ import importlib
 import importlib.util
 import inspect
 import os
+from unittest import mock
+
+import numpy as np
 
 from graphdenoise import nn, policy, trainer
+from graphdenoise import representation as rep
 from graphdenoise.graph import generate_planted_partition
 
 PERFBENCH = os.path.join(os.path.dirname(__file__), "..", "perfbench")
@@ -66,3 +70,29 @@ def test_tracer_records_engine_spans(monkeypatch):
     names = {span[2] for span in tracer.spans}
     assert {"env.rollout", "representation.fc", "nn.forward", "trainer.decode"} <= names
     assert tracer.counts["env.transitions"] > 0 and tracer.counts["nn.adam_steps"] > 0
+
+
+def test_tracer_records_keep_all_spans(monkeypatch):
+    # keepall-wide's predictions read the fit and means spans; keep-all
+    # training walks no episode
+    monkeypatch.syspath_prepend(PERFBENCH)
+    tracer_mod, workloads = load_perfbench("tracer"), load_perfbench("workloads")
+    _, cfg = workloads._denoise_configs(0)
+    cfg.outer_iters = 2
+    g = generate_planted_partition(40, 2, 0.3, 0.05, 8, 1.0, seed=0)
+    tracer = tracer_mod.Tracer(run_id=0)
+    with tracer.installed([]):
+        trainer.train(g, cfg)
+    names = {span[2] for span in tracer.spans}
+    assert {"representation.fit", "representation.means"} <= names
+    assert "env.rollout" not in names
+
+
+def test_keep_all_train_builds_training_means_once():
+    g = generate_planted_partition(40, 2, 0.3, 0.05, 8, 1.0, seed=0)
+    cfg = trainer.TrainConfig(outer_iters=3, rep_epochs=2, embed_dim=4, select_all=True)
+    train_ids = np.flatnonzero(g.train_mask)
+    with mock.patch.object(rep, "node_mean_vectors", wraps=rep.node_mean_vectors) as means:
+        trainer.train(g, cfg)
+    on_train = [c for c in means.call_args_list if np.array_equal(c.args[1], train_ids)]
+    assert len(on_train) == 1

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 from unittest import mock
 
@@ -136,6 +137,19 @@ def test_select_all_baseline_skips_policy_learning():
     assert all(row["mean_kl"] == 0.0 for row in result.history)
 
 
+def test_select_all_fit_ignores_non_train_labels():
+    # keep-all fits see only the training nodes' labels, so scrambling the
+    # others moves no fit loss
+    g = generate_planted_partition(40, 2, 0.4, 0.1, 4, 1.0, seed=5)
+    scrambled = g.labels.copy()
+    scrambled[~g.train_mask] = (scrambled[~g.train_mask] + 1) % 2
+    g2 = build_graph(g.num_nodes, g.edge_list(), g.features, scrambled,
+                     masks={"train": g.train_mask, "val": g.val_mask, "test": g.test_mask})
+    cfg = small_config(select_all=True, outer_iters=3, seed=7)
+    h1, h2 = trainer.train(g, cfg).history, trainer.train(g2, cfg).history
+    assert [r["train_loss"] for r in h1] == [r["train_loss"] for r in h2]
+
+
 def test_evaluate_is_deterministic():
     g = small_graph(seed=8)
     result = trainer.train(g, small_config(seed=8))
@@ -181,6 +195,21 @@ def test_evaluate_accepts_explicit_node_ids():
     nodes = np.flatnonzero(g.test_mask)
     assert (trainer.evaluate(policy, agg, clf, g, nodes)
             == trainer.evaluate(policy, agg, clf, g, "test"))
+
+
+@pytest.mark.parametrize("selection", trainer.SELECTION_MODES)
+@pytest.mark.parametrize("ids, named", [
+    ([-1, -2], "node id -1 outside [0, 40)"),
+    ([3, 40], "node id 40 outside [0, 40)"),
+    ([0.5, 2.0], "node id 0.5 is not an integer"),
+    ([True, False], "node id True is not an integer"),
+    ([[1, 2]], "1-d array"),
+], ids=["negative", "too-large", "float", "bool", "two-d"])
+def test_evaluate_rejects_bad_node_ids(selection, ids, named):
+    g = small_graph(seed=13)
+    policy, agg, clf = trainer.init_params(g, small_config(seed=13))
+    with pytest.raises(ValueError, match=re.escape(named)):
+        trainer.evaluate(policy, agg, clf, g, np.array(ids), selection)
 
 
 def test_export_select_all_keeps_every_edge(tmp_path):
