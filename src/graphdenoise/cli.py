@@ -12,15 +12,14 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import os
 import sys
 
 import numpy as np
 
 from . import submodular, trainer
-from .graph import (GraphError, NoiseSpec, corrupt_features, generate_planted_partition,
-                    inject_edge_noise, load_graph, save_graph_json)
+from .graph import (NoiseSpec, corrupt_features, generate_planted_partition, inject_edge_noise,
+                    load_graph, read_json, save_graph_json, write_json)
 from .seeding import spawn_rng
 
 
@@ -126,8 +125,7 @@ def _build_config(args):
     """defaults < --config file < explicit flags."""
     base = trainer.TrainConfig().to_dict()
     if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            overrides = json.load(fh)
+        overrides = read_json(args.config)
         if not isinstance(overrides, dict):
             raise ValueError(f"--config must hold a JSON object, got {type(overrides).__name__}")
         base.update(overrides)
@@ -148,12 +146,6 @@ def _build_config(args):
     ppo_flags = {k: getattr(args, k) for k in ("gamma", "delta") if getattr(args, k) is not None}
     cfg.ppo = dataclasses.replace(cfg.ppo, **ppo_flags)
     return cfg
-
-
-def _write_json(path, obj):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, separators=(",", ":"))
-        fh.write("\n")
 
 
 def cmd_synth(args):
@@ -200,7 +192,7 @@ def cmd_eval(args):
     g, policy, agg, clf = _load_graph_and_model(args)
     score = trainer.evaluate(policy, agg, clf, g, args.mask, args.selection)
     out = os.path.join(args.out_dir, "eval.json")
-    _write_json(out, {"mask": args.mask, "selection": args.selection, "micro_f1": score})
+    write_json(out, {"mask": args.mask, "selection": args.selection, "micro_f1": score})
     print(f"{args.mask} micro_f1 {score}")
     return 0
 
@@ -218,9 +210,8 @@ def cmd_report(args):
     g, policy, agg, _ = _load_graph_and_model(args)
     report = trainer.selection_report(policy, agg, g, args.selection)
     out = os.path.join(args.out_dir, "selection_report.json")
-    with open(out, "w", encoding="utf-8") as fh:
-        fh.write(report.to_json())
-        fh.write("\n")
+    write_json(out, {"nodes": report.node_ids.tolist(), "fractions": report.fractions.tolist(),
+                     "histogram": report.histogram.tolist()})
     print(f"wrote {out}: mean kept fraction "
           f"{float(report.fractions.mean()) if report.fractions.size else 0.0}")
     return 0
@@ -239,12 +230,11 @@ def cmd_check_submodular(args):
     mono = submodular.check_monotone(f, args.trials, spawn_rng(seed, 100))
     sub = submodular.check_submodular(f, args.trials, spawn_rng(seed, 101))
     spread = f.order_spread(f.ground[:min(8, len(f.ground))], spawn_rng(seed, 102))
-    payload = {
-        "node": node,
-        "monotone": json.loads(mono.to_json()),
-        "submodular": json.loads(sub.to_json()),
-        "order_spread": spread,
-    }
+    payload = {"node": node}
+    for check in (mono, sub):  # keyed "monotone" and "submodular"
+        payload[check.name] = {"function": check.name, "trials": check.trials,
+                               "passes": check.passes, "first_witness": check.first_witness}
+    payload["order_spread"] = spread
     if len(f.ground) <= 20:
         greedy_set, greedy_val = submodular.greedy_maximize(f)
         _, best_val = submodular.brute_force_optimal(f)
@@ -252,7 +242,7 @@ def cmd_check_submodular(args):
         payload["brute_force_value"] = best_val
         payload["bound_ok"] = bool(greedy_val >= (1.0 - 1.0 / np.e) * best_val - 1e-9)
     out = os.path.join(args.out_dir, "submodular_report.json")
-    _write_json(out, payload)
+    write_json(out, payload)
     ok = mono.passed and sub.passed
     print(f"monotone {mono.passes}/{mono.trials}, "
           f"submodular {sub.passes}/{sub.trials}")
@@ -280,7 +270,7 @@ def run(argv):
     try:
         os.makedirs(args.out_dir, exist_ok=True)
         return _COMMANDS[args.command](args)
-    except (GraphError, ValueError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (ValueError, FileNotFoundError) as exc:  # a GraphError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # pragma: no cover - defensive

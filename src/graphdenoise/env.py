@@ -1,10 +1,11 @@
 """Markov decision process for sequential signal-neighbor selection.
 
 One episode walks a single node's one-hop neighborhood, held in an
-EpisodeState. At each step the pending candidates (plus a synthetic ending
-candidate) are scored, one is taken, and the policy accepts or rejects it:
-rollout softmax-samples the order for training and records decisions only,
-trainer.greedy_select decodes in priority order. pay_rewards then pays each
+EpisodeState of states [h_v, h_u] (width state_dim). At each step the pending
+candidates (plus a synthetic ending candidate) are scored, one is taken, and
+the policy accepts or rejects it. Both walkers live here: rollout
+softmax-samples the order for training and records decisions only,
+greedy_select decodes any node in priority order. pay_rewards then pays each
 accept the marginal-value reward (marginal_rewards): its per-neighbor task
 score over the summed scores of everything selected so far, itself included,
 so the first acceptance is worth 1 and later ones progressively less.
@@ -28,9 +29,14 @@ TERMINATED_EXHAUSTED = "exhausted_candidates"
 _DENOM_GUARD = 1e-12
 
 
+def state_dim(embed_dim):
+    """Width of a state [h_v, h_u], the policy's input."""
+    return 2 * embed_dim
+
+
 @dataclass
 class Transition:
-    state: np.ndarray  # s_t = [h_v, h_u], length 2 * embed_dim
+    state: np.ndarray  # s_t = [h_v, h_u], length state_dim(embed_dim)
     action: int
     reward: float
     log_prob: float
@@ -92,7 +98,7 @@ def init_episode(graph, v, agg):
         raise ValueError(f"node {v} outside [0, {graph.num_nodes})")
     neighbors = graph.neighbors(v)
     # END carries an all-zero feature vector, so its embedding relu(W 0) is zero
-    table = np.zeros((neighbors.size + 1, 2 * agg.embed_dim))
+    table = np.zeros((neighbors.size + 1, state_dim(agg.embed_dim)))
     table[:-1, agg.embed_dim:] = rep.embed_means(agg, graph.features[neighbors])
     table[:, :agg.embed_dim] = rep.aggregate(agg, graph.features[v], graph.features[:0])
     return EpisodeState(target=int(v), selected=[], candidates=neighbors.tolist() + [END],
@@ -123,6 +129,26 @@ def rollout(graph, v, policy, agg, rng):
         transitions.append(Transition(state=states[i].copy(), action=action, reward=0.0,
                                       log_prob=log_prob, candidate=u))
     return Trajectory(target=int(v), transitions=transitions, terminated_by=terminated)
+
+
+def greedy_select(graph, v, policy, agg):
+    """Deterministic decode of a node's kept neighbors.
+
+    The top-priority candidate is kept while its selection probability is
+    >= 0.5; END, exhaustion or the first reject stops the decode. A reject
+    leaves h_v and every pending score unchanged and the sigmoid is monotone,
+    so no later candidate could be accepted. Never touches labels, so it is
+    safe for val/test nodes.
+    """
+    state = init_episode(graph, v, agg)
+    while len(state.candidates) > 1:
+        scores, probs, _ = state.candidate_scores(policy)
+        i = int(np.argmax(scores))
+        u = state.take(i)
+        if u == END or probs[i] < 0.5:
+            break
+        state.accept(graph, agg, u)
+    return state.selected
 
 
 def pay_rewards(graph, traj, agg, clf):

@@ -201,11 +201,10 @@ def load_graph(path, fmt="json", features_path=None, labels_path=None, split_see
     per line in `labels_path`; node count is the number of feature rows.
     """
     if fmt == "json":
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                blob = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise GraphError(f"cannot parse {path}: {exc}") from exc
+        try:
+            blob = read_json(path)
+        except ValueError as exc:
+            raise GraphError(str(exc)) from exc
         for key in ("n", "edges", "labels"):
             if key not in blob:
                 raise GraphError(f"graph json missing key {key!r}")
@@ -247,7 +246,7 @@ def _read_table(path, dtype, **kwargs):
 
 def save_graph_json(g, path):
     """Serialize to the json format accepted by load_graph; deterministic bytes."""
-    blob = {
+    write_json(path, {
         "n": g.num_nodes,
         "edges": [[u, v] for u, v in g.edge_list()],
         "features": [row.tolist() for row in g.features],
@@ -257,10 +256,23 @@ def save_graph_json(g, path):
             "val": g.val_mask.tolist(),
             "test": g.test_mask.tolist(),
         },
-    }
+    })
+
+
+def write_json(path, obj):
+    """Write obj as compact JSON and a newline, streamed to the file."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(blob, fh, separators=(",", ":"))
+        json.dump(obj, fh, separators=(",", ":"))
         fh.write("\n")
+
+
+def read_json(path):
+    """The JSON value in a file; one that does not parse is a ValueError naming the path."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"cannot parse {path}: {exc}") from exc
 
 
 def write_edge_list(g, path):

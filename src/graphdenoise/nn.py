@@ -9,11 +9,12 @@ tape.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .graph import read_json, write_json
 
 HEADS = ("linear", "sigmoid")
 
@@ -171,8 +172,9 @@ class AdamState:
     v: list = field(default_factory=list)
 
     def copy(self):
-        return AdamState(self.lr, self.step, [a.copy() for a in self.m],
-                         [a.copy() for a in self.v])
+        """A snapshot that shares the moment arrays: adam_step rebinds each
+        entry to a fresh array and never writes into one."""
+        return AdamState(self.lr, self.step, list(self.m), list(self.v))
 
 
 def adam_init(params, lr=1e-3):
@@ -222,23 +224,18 @@ def save_arrays(path, named_arrays, extra=None):
     Floats are serialized with Python's shortest round-trip repr (at most 17
     significant digits), so load() reproduces them bit for bit.
     """
-    blob = {"version": CHECKPOINT_VERSION, "extra": extra or {}}
     arrays = {}
     for name in sorted(named_arrays):
         arr = np.asarray(named_arrays[name], dtype=np.float64)
         if not np.isfinite(arr).all():
             raise ValueError(f"array {name!r} contains non-finite values")
         arrays[name] = {"shape": list(arr.shape), "data": arr.ravel().tolist()}
-    blob["arrays"] = arrays
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(blob, fh, separators=(",", ":"))
-        fh.write("\n")
+    write_json(path, {"version": CHECKPOINT_VERSION, "extra": extra or {}, "arrays": arrays})
 
 
 def load_arrays(path):
     """Inverse of save_arrays. Returns (dict name -> array, extra dict)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        blob = json.load(fh)
+    blob = read_json(path)
     if not isinstance(blob, dict):
         raise ValueError(f"checkpoint must hold a JSON object, got {type(blob).__name__}")
     if blob.get("version") != CHECKPOINT_VERSION:

@@ -198,34 +198,30 @@ def ppo_update(policy, trajectories, *, cfg, rng=None):
     beta = cfg.kl_coeff
     m = states.shape[0]
 
-    def run_epoch():
-        order = rng.permutation(m)
-        for start in range(0, m, cfg.minibatch_size):
-            rows = order[start:start + cfg.minibatch_size]
-            _, grads = surrogate_and_grads(work, states[rows], actions[rows],
-                                           logq[rows], norm_returns[rows],
-                                           p_old[rows], beta)
-            work.mlp.weights = nn.adam_step(opt, work.mlp.weights, grads,
-                                            direction="maximize")
-
     def mean_kl():
         p_new = clamp_prob(policy_forward_batch(work, states))
         return float(np.mean(kl_bernoulli(p_old, p_new)))
 
     with np.errstate(over="ignore"):  # an overflowed g * g is named just below
         for _ in range(int(cfg.update_epochs)):
-            snap_weights = [w.copy() for w in work.mlp.weights]
-            snap_opt = opt.copy()
-            run_epoch()
-            if mean_kl() > 1.5 * cfg.delta:
-                work.mlp.weights = [w.copy() for w in snap_weights]
-                opt = snap_opt.copy()
-                beta *= 2.0
-                run_epoch()
-                if mean_kl() > 1.5 * cfg.delta:
-                    # the retry still left the trust region: reject the epoch
-                    work.mlp.weights = snap_weights
-                    opt = snap_opt
+            # adam_step never writes into an array, so these two snapshot the epoch's start
+            snap_weights, snap_opt = work.mlp.weights, opt
+            for retry in (False, True):
+                if retry:  # the epoch left the trust region: roll back, double the penalty
+                    beta *= 2.0
+                work.mlp.weights, opt = snap_weights, snap_opt.copy()
+                order = rng.permutation(m)
+                for start in range(0, m, cfg.minibatch_size):
+                    rows = order[start:start + cfg.minibatch_size]
+                    _, grads = surrogate_and_grads(work, states[rows], actions[rows],
+                                                   logq[rows], norm_returns[rows],
+                                                   p_old[rows], beta)
+                    work.mlp.weights = nn.adam_step(opt, work.mlp.weights, grads,
+                                                    direction="maximize")
+                if not mean_kl() > 1.5 * cfg.delta:
+                    break
+            else:  # the retry still left the trust region: reject the epoch
+                work.mlp.weights, opt = snap_weights, snap_opt
     nn.check_second_moments(opt, "PPO round")
 
     objective, _ = surrogate_and_grads(work, states, actions, logq,

@@ -20,7 +20,6 @@ nonnegativity and diminishing-returns guarantees hold identically.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -175,11 +174,6 @@ class CheckReport:
     @property
     def passed(self):
         return self.passes == self.trials
-
-    def to_json(self):
-        return json.dumps({"function": self.name, "trials": self.trials,
-                           "passes": self.passes, "first_witness": self.first_witness},
-                          separators=(",", ":"))
 
 
 def _random_chain(ground, rng):

@@ -2,13 +2,13 @@
 improvement, plus evaluation, denoised-graph export and selection statistics.
 
 Each outer iteration first freezes the policy and walks (unpriced) one
-episode per training node; the means over the kept sets (built once for
-keep-all) fit the aggregator and classifier. Then it freezes those, pays
-fresh walks and runs PPO on them.
+episode per training node with env.rollout; the means over the kept sets
+(built once for keep-all) fit the aggregator and classifier. Then it
+freezes those, pays fresh walks and runs PPO on them.
 Validation micro-F1 is logged per iteration and the best-validation
-parameters are the ones returned. Evaluation decodes greedily (accept the
-top-priority candidate while its selection probability is at least 0.5,
-else stop), so it is deterministic and works for nodes unseen in training.
+parameters are the ones returned. Evaluation, export and the report keep
+what env.greedy_select decodes, deterministically and for nodes unseen in
+training too; this module calls the two walkers, never an episode step.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import numpy as np
 from . import env, nn
 from . import policy as policy_mod
 from . import representation as rep
+from .env import greedy_select
 from .graph import build_graph, write_edge_list
 from .policy import PPOConfig
 from .seeding import spawn_rng
@@ -101,17 +102,10 @@ class SelectionReport:
     fractions: np.ndarray
     histogram: np.ndarray  # 10 bins over [0, 1]
 
-    def to_json(self):
-        return json.dumps({
-            "nodes": self.node_ids.tolist(),
-            "fractions": self.fractions.tolist(),
-            "histogram": self.histogram.tolist(),
-        }, separators=(",", ":"))
-
 
 def init_params(graph, cfg):
     """Seeded parameter initialization shared by train() and the CLI."""
-    policy = policy_mod.init_policy(2 * cfg.embed_dim, cfg.policy_hidden,
+    policy = policy_mod.init_policy(env.state_dim(cfg.embed_dim), cfg.policy_hidden,
                                     spawn_rng(cfg.seed, _K_INIT_POLICY))
     agg = rep.init_aggregator(cfg.embed_dim, graph.feature_dim,
                               spawn_rng(cfg.seed, _K_INIT_AGG))
@@ -130,17 +124,18 @@ def train(graph, cfg):
     train_ids = np.flatnonzero(graph.train_mask)
     if train_ids.size == 0:
         raise ValueError("graph has no training nodes")
-    has_val = bool(graph.val_mask.any())
-    selection = "all" if cfg.select_all else "policy"
+    val_ids = np.flatnonzero(graph.val_mask)
+    has_val = val_ids.size > 0
 
     policy, agg, clf = init_params(graph, cfg)
     best = (policy, agg, clf)
     best_val, best_iter = -np.inf, -1
     history = []
     labels = graph.labels[train_ids]
-    if cfg.select_all:
-        means = rep.node_mean_vectors(graph, train_ids,
-                                      _decoded_sets(graph, policy, agg, "all", train_ids))
+    if cfg.select_all:  # keep-all sets never change, so neither do their means
+        means, val_means = (rep.node_mean_vectors(graph, ids,
+                                                  _decoded_sets(graph, policy, agg, "all", ids))
+                            for ids in (train_ids, val_ids))
 
     for it in range(cfg.outer_iters):
         # phase 1: freeze the policy, walk (unpriced) to materialize selection
@@ -168,7 +163,10 @@ def train(graph, cfg):
                 policy, diag = policy_mod.ppo_update(
                     policy, trajectories, cfg=cfg.ppo, rng=spawn_rng(cfg.seed, _K_PPO, it))
 
-        val_f1 = evaluate(policy, agg, clf, graph, "val", selection) if has_val else float("nan")
+        val_f1 = float("nan")
+        if has_val:
+            val_f1 = (_micro_f1(agg, clf, val_means, graph.labels[val_ids]) if cfg.select_all
+                      else evaluate(policy, agg, clf, graph, "val"))
         history.append({
             "iteration": it,
             "train_loss": losses[-1] if losses else float("nan"),
@@ -182,26 +180,6 @@ def train(graph, cfg):
             best_val, best_iter = val_f1, it
 
     return TrainResult(best[0], best[1], best[2], history, best_iter)
-
-
-def greedy_select(graph, v, policy, agg):
-    """Deterministic decode of a node's kept neighbors.
-
-    The top-priority candidate is kept while its selection probability is
-    >= 0.5; END, exhaustion or the first reject stops the decode. A reject
-    leaves h_v and every pending score unchanged and the sigmoid is monotone,
-    so no later candidate could be accepted. Never touches labels, so it is
-    safe for val/test nodes.
-    """
-    state = env.init_episode(graph, v, agg)
-    while len(state.candidates) > 1:
-        scores, probs, _ = state.candidate_scores(policy)
-        i = int(np.argmax(scores))
-        u = state.take(i)
-        if u == env.END or probs[i] < 0.5:
-            break
-        state.accept(graph, agg, u)
-    return state.selected
 
 
 def _decoded_sets(graph, policy, agg, selection, nodes):
@@ -236,6 +214,11 @@ def evaluate(policy, agg, clf, graph, mask="test", selection="policy"):
     if labels.max() >= clf.num_classes:
         raise ValueError(f"label {labels.max()} outside the classifier's {clf.num_classes} classes")
     means = rep.node_mean_vectors(graph, nodes, _decoded_sets(graph, policy, agg, selection, nodes))
+    return _micro_f1(agg, clf, means, labels)
+
+
+def _micro_f1(agg, clf, means, labels):
+    """Micro-F1 of the classifier on the embedded (m, D) neighbor means."""
     preds = np.argmax(rep.classify_batch(clf, rep.embed_means(agg, means)), axis=1)
     return rep.micro_f1(preds, labels)
 
@@ -298,9 +281,9 @@ def load_checkpoint(path):
     if clf.V.shape[1] != agg.embed_dim:
         raise ValueError(f"checkpoint clf.V has {clf.V.shape[1]} columns, "
                          f"agg.W has {agg.embed_dim} rows")
-    if policy.state_dim != 2 * agg.embed_dim:
-        raise ValueError(f"checkpoint policy takes {policy.state_dim} inputs, "
-                         f"not 2 x {agg.embed_dim} agg.W rows")
+    if policy.state_dim != env.state_dim(agg.embed_dim):
+        raise ValueError(f"checkpoint policy takes {policy.state_dim} inputs, not the "
+                         f"{env.state_dim(agg.embed_dim)} of {agg.embed_dim} agg.W rows")
     return policy, agg, clf, config
 
 

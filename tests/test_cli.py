@@ -263,11 +263,12 @@ def test_fc_mode_flag_is_gone(tmp_path):
     ({"ppo": {"kl_coeff": 0}}, "kl_coeff must be positive"),
     ({"ppo": {"lr": -1}}, "lr must be >= 0"),
     ({"fc_mode": "hard"}, "fc_mode must be 'soft'"),
+    ("{'outer_iters': 1}", "cfg.json: Expecting property name"),  # text that is no JSON
 ])
 def test_config_shape_is_validation_error(tmp_path, capsys, overrides, named):
     assert run(synth_args(tmp_path)) == 0
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(overrides))
+    cfg_path.write_text(overrides if isinstance(overrides, str) else json.dumps(overrides))
     assert run(["train", "--graph", str(tmp_path / "graph.json"),
                 "--config", str(cfg_path), "--out-dir", str(tmp_path / "run")]) == 1
     assert named in capsys.readouterr().err
@@ -350,18 +351,21 @@ def _matrix(name, rows, cols):
     (_edit(lambda blob: blob["extra"].update(activation="tanh")), "activation 'tanh'"),
     (_edit(lambda blob: blob["extra"]["config"].update(activation="tanh")), "activation 'tanh'"),
     (_matrix("clf.V", 2, 3), "clf.V has 3 columns, agg.W has 4 rows"),
-    (_matrix("policy.w0", 64, 6), "policy takes 6 inputs, not 2 x 4 agg.W rows"),
+    (_matrix("policy.w0", 64, 6), "policy takes 6 inputs, not the 8 of 4 agg.W rows"),
     (lambda blob: [1], "checkpoint must hold a JSON object, got list"),
     (_edit(lambda blob: blob.update(extra=[])), "checkpoint 'extra' must be an object, got list"),
     (_edit(lambda blob: blob["extra"].update(config=[])),
      "checkpoint extra.config must be an object, got list"),
     (_edit(lambda blob: blob["arrays"]["agg.W"].pop("data")),
      "checkpoint array 'agg.W' needs 'shape' and 'data'"),
+    (lambda blob: json.dumps(blob)[:19] + "\n", "checkpoint.json: Invalid control character"),
 ], ids=["no-arrays", "no-agg", "no-clf", "no-policy", "tanh", "config-tanh",
-        "clf-width", "policy-width", "not-object", "extra-list", "config-list", "no-data"])
+        "clf-width", "policy-width", "not-object", "extra-list", "config-list", "no-data",
+        "truncated"])
 def test_malformed_checkpoint_is_validation_error(tmp_path, capsys, change, named):
     graph, ckpt = _init_checkpoint(tmp_path, "g", classes=2, dim=6)
-    ckpt.write_text(json.dumps(change(json.loads(ckpt.read_text()))))
+    changed = change(json.loads(ckpt.read_text()))  # a str is written as it is
+    ckpt.write_text(changed if isinstance(changed, str) else json.dumps(changed))
     assert run(["eval", "--graph", str(graph), "--checkpoint", str(ckpt),
                 "--out-dir", str(tmp_path / "out")]) == 1
     assert named in capsys.readouterr().err
@@ -416,15 +420,21 @@ def test_edge_list_format_via_cli(tmp_path):
 # every float must keep these bytes; a change that moves them must say why
 # and re-pin them here.
 PINNED_ARTIFACTS = {
+    "graph.json": "c2078f5b878d5a91ddff90f6155d96f836c14b124f5cfbe992feff1d4715fe8d",
+    "noisy/graph.json": "08508639b7a25e464d0e8d70566dc5dc5fe00a863755c0aa82c2d7ddf619d858",
+    "check/submodular_report.json":
+        "bfb86a0dc0447f61c0f831f57f9231eb9f6d25c9071da36aea08b0a6a29669c6",
     "policy/checkpoint.json": "f5fa7c29818b971433af4acea37cbff658001271f6b829456be0f0e68616219d",
     "policy/metrics.jsonl": "c36f3d9d642ccfcb21ff6aebcaff19737eaed0f1ec299e9b4c123f63115f76fc",
     "policy/eval.json": "78db232a0bf11c7c6df4bc962c84daa4212f56c06c41162f702fcaea9271fb41",
     "policy/denoised_edges.txt": "1ba04e563436d1c4e0bcb0e5c1eab91db85e46293cf7a4443fe3f737c74feea3",
+    "policy/denoised_graph.json": "87536ae43238342df1629058835d5e874b3677a448faf7eb4c7af376a6dca26d",
     "policy/selection_report.json": "f85f72cc7b0618facca82ef8e6437e9c13ef76bcbcdde914df3aac20c5f862f4",
     "base/checkpoint.json": "05a190cec9df35fdeb70f37b2d65d1c3d4c32d099ead2867fcbb67a7ddf9590c",
     "base/metrics.jsonl": "4e1a1754fa23bf54471b3c0117bc2034e4f862f18ae56f1943bdffa7fd85dfa7",
     "base/eval.json": "c0c49e84b90542d0f89f7efee26061ca8d73ff18b62d9e1d3c6a996ab1e65650",
     "base/denoised_edges.txt": "3807883a2b1e204706637a0176ad6e6cad64f81659ca1611c24a6e4ca5fb49b5",
+    "base/denoised_graph.json": "08508639b7a25e464d0e8d70566dc5dc5fe00a863755c0aa82c2d7ddf619d858",
     "base/selection_report.json": "6a112af1a8e537b0a86c8b7c4827fbc6b89abca6a8e904da2f9c864a28bd7e94",
 }
 
@@ -433,9 +443,13 @@ def test_pipeline_artifacts_are_pinned(tmp_path):
     assert run(synth_args(tmp_path)) == 0
     assert run(["noise", "--graph", str(tmp_path / "graph.json"), "--edge-noise", "0.3",
                 "--seed", "3", "--out-dir", str(tmp_path / "noisy")]) == 0
+    assert run(["check-submodular", "--trials", "50", "--seed", "3",
+                "--out-dir", str(tmp_path / "check")]) == 0
     graph_arg = ["--graph", str(tmp_path / "noisy" / "graph.json")]
     (tmp_path / "cfg.json").write_text(json.dumps({"rep_lr": 0.03}))
-    digests = {}
+    digests = {artifact: hashlib.sha256(read(tmp_path / artifact)).hexdigest()
+               for artifact in ("graph.json", "noisy/graph.json",
+                                "check/submodular_report.json")}
     for name, train_flags, selection in (("policy", [], "policy"),
                                          ("base", ["--select-all"], "all")):
         out = tmp_path / name
@@ -446,7 +460,7 @@ def test_pipeline_artifacts_are_pinned(tmp_path):
         ckpt = ["--checkpoint", str(out / "checkpoint.json"), "--selection", selection]
         for command in ("eval", "denoise", "report"):
             assert run([command, *graph_arg, *ckpt, "--out-dir", str(out)]) == 0
-        for artifact in ("checkpoint.json", "metrics.jsonl", "eval.json",
-                         "denoised_edges.txt", "selection_report.json"):
+        for artifact in ("checkpoint.json", "metrics.jsonl", "eval.json", "denoised_edges.txt",
+                         "denoised_graph.json", "selection_report.json"):
             digests[f"{name}/{artifact}"] = hashlib.sha256(read(out / artifact)).hexdigest()
     assert digests == PINNED_ARTIFACTS

@@ -1,9 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 
 from graphdenoise import env
 from graphdenoise import policy as policy_mod
 from graphdenoise import representation as rep
+from graphdenoise.cli import run
 from graphdenoise.graph import generate_planted_partition
 from graphdenoise.submodular import (CoverageFunction, SelectionRewardFunction, SetFunction,
                                      brute_force_optimal, check_monotone, check_submodular,
@@ -138,14 +141,12 @@ def test_check_submodular_fails_supermodular_with_witness():
     assert f.marginal(w["item"], small) < f.marginal(w["item"], large)
 
 
-def test_check_report_json_schema():
-    import json
-
-    f = LambdaSetFunction(range(4), lambda s: float(len(s)), k_max=4)
-    report = check_monotone(f, 10, np.random.default_rng(0))
-    blob = json.loads(report.to_json())
-    assert set(blob) == {"function", "trials", "passes", "first_witness"}
-    assert blob["passes"] == 10
+def test_check_report_json_schema(tmp_path):
+    assert run(["check-submodular", "--trials", "10", "--out-dir", str(tmp_path)]) == 0
+    blob = json.loads((tmp_path / "submodular_report.json").read_text())
+    for name in ("monotone", "submodular"):
+        assert set(blob[name]) == {"function", "trials", "passes", "first_witness"}
+        assert blob[name]["function"] == name and blob[name]["passes"] == 10
 
 
 def test_reward_function_basics():

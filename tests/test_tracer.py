@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 
-from graphdenoise import nn, policy, trainer
+from graphdenoise import env, nn, policy, trainer
 from graphdenoise import representation as rep
 from graphdenoise.graph import generate_planted_partition
 
@@ -52,6 +52,8 @@ def test_tracer_argument_positions_match_library():
     cfg = inspect.signature(policy.ppo_update).parameters["cfg"]
     assert cfg.kind is inspect.Parameter.KEYWORD_ONLY
     assert params(trainer.greedy_select)[:2] == ["graph", "v"]
+    # one function under both names, so wrapping it times every decode
+    assert trainer.greedy_select is env.greedy_select
     assert params(nn.mlp_forward_batch)[1] == "x"
 
 
@@ -89,10 +91,12 @@ def test_tracer_records_keep_all_spans(monkeypatch):
 
 
 def test_keep_all_train_builds_training_means_once():
+    # and the val nodes' means too: keep-all sets never change
     g = generate_planted_partition(40, 2, 0.3, 0.05, 8, 1.0, seed=0)
     cfg = trainer.TrainConfig(outer_iters=3, rep_epochs=2, embed_dim=4, select_all=True)
-    train_ids = np.flatnonzero(g.train_mask)
     with mock.patch.object(rep, "node_mean_vectors", wraps=rep.node_mean_vectors) as means:
         trainer.train(g, cfg)
-    on_train = [c for c in means.call_args_list if np.array_equal(c.args[1], train_ids)]
-    assert len(on_train) == 1
+    for mask in (g.train_mask, g.val_mask):
+        ids = np.flatnonzero(mask)
+        assert ids.size and sum(np.array_equal(c.args[1], ids)
+                                for c in means.call_args_list) == 1
