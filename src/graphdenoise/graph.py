@@ -90,7 +90,10 @@ def build_graph(num_nodes, edges, features, labels, masks=None, split_seed=0):
     (seeded) is generated.
     """
     n = _node_count(num_nodes)
-    features = np.asarray(features, dtype=np.float64)
+    try:
+        features = np.asarray(features, dtype=np.float64)
+    except (TypeError, ValueError) as exc:  # entries that are no numbers, or ragged rows
+        raise GraphError(f"features must be a rectangular table of numbers ({exc})") from exc
     if features.ndim != 2 or features.shape[0] != n:
         raise GraphError(f"features must be ({n}, D), got {features.shape}")
     labels = np.asarray(labels)
@@ -205,6 +208,8 @@ def load_graph(path, fmt="json", features_path=None, labels_path=None, split_see
             blob = read_json(path)
         except ValueError as exc:
             raise GraphError(str(exc)) from exc
+        if not isinstance(blob, dict):
+            raise GraphError(f"{path}: graph json must hold an object, got {type(blob).__name__}")
         for key in ("n", "edges", "labels"):
             if key not in blob:
                 raise GraphError(f"graph json missing key {key!r}")

@@ -3,8 +3,9 @@
 All math runs in float64 numpy. A perceptron here is a list of weight
 matrices applied as ``x -> W0 x -> relu -> W1 x -> ... -> Wlast x -> head``
 with no bias terms anywhere. Forward passes return a cache of the layer
-inputs and pre-ReLU values so the matching backward pass can run without a
-tape.
+inputs only, so the matching backward pass can run without a tape: a hidden
+layer's input is its predecessor's ReLU output, whose positive entries are
+the ReLU's derivative mask.
 """
 
 from __future__ import annotations
@@ -21,10 +22,6 @@ HEADS = ("linear", "sigmoid")
 # Keeps sigmoid outputs strictly inside (0, 1) in float64 even for huge logits.
 _SIGMOID_FLOOR = 1e-15
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # moment decay rates, denominator guard
-
-
-def relu(x):
-    return np.maximum(x, 0.0)
 
 
 def sigmoid(z):
@@ -77,9 +74,6 @@ class MlpParams:
     def out_dim(self):
         return self.weights[-1].shape[0]
 
-    def copy(self):
-        return MlpParams([w.copy() for w in self.weights])
-
 
 def init_mlp(layer_sizes, rng):
     """Glorot-initialized stack for sizes [in, h1, ..., out]."""
@@ -91,8 +85,7 @@ def init_mlp(layer_sizes, rng):
 
 @dataclass
 class MlpCache:
-    inputs: list  # value entering each layer, inputs[0] is x
-    pre: list  # pre-ReLU value per layer
+    inputs: list  # value entering each layer: inputs[0] is x, later ones are ReLU outputs
     head: str
     output: np.ndarray
 
@@ -107,16 +100,13 @@ def mlp_forward_batch(params, x, head="linear"):
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != params.in_dim:
         raise ValueError(f"input shape {x.shape} incompatible with in_dim {params.in_dim}")
-    inputs, pre = [], []
-    a = x
-    last = len(params.weights) - 1
-    for k, w in enumerate(params.weights):
-        inputs.append(a)
-        z = a @ w.T
-        pre.append(z)
-        a = relu(z) if k < last else z
+    inputs = [x]
+    a = x @ params.weights[0].T
+    for w in params.weights[1:]:
+        inputs.append(np.maximum(a, 0.0, out=a))  # in place on this layer's own matmul output
+        a = a @ w.T
     out = sigmoid(a) if head == "sigmoid" else a
-    return out, MlpCache(inputs, pre, head, out)
+    return out, MlpCache(inputs, head, out)
 
 
 def mlp_backward_batch(params, cache, upstream):
@@ -139,7 +129,7 @@ def mlp_backward_batch(params, cache, upstream):
     for k in reversed(range(len(params.weights))):
         grads[k] = g.T @ cache.inputs[k]
         if k > 0:
-            g = (g @ params.weights[k]) * (cache.pre[k - 1] > 0)
+            g = (g @ params.weights[k]) * (cache.inputs[k] > 0)
     return grads
 
 

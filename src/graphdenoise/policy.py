@@ -33,9 +33,6 @@ class PolicyParams:
     def state_dim(self):
         return self.mlp.in_dim
 
-    def copy(self):
-        return PolicyParams(self.mlp.copy())
-
 
 def init_policy(state_dim, hidden=(64, 36), rng=None):
     rng = rng or np.random.default_rng(0)
@@ -158,18 +155,6 @@ def surrogate_and_grads(policy, states, actions, behavior_logp, returns, p_old, 
     return objective, grads
 
 
-def _flatten_batch(trajectories):
-    states, actions, logq, returns_parts = [], [], [], []
-    for traj in trajectories:
-        if not traj.transitions:
-            continue
-        states.extend(t.state for t in traj.transitions)
-        actions.extend(t.action for t in traj.transitions)
-        logq.extend(t.log_prob for t in traj.transitions)
-        returns_parts.append([t.reward for t in traj.transitions])
-    return states, actions, logq, returns_parts
-
-
 def ppo_update(policy, trajectories, *, cfg, rng=None):
     """One trust-region policy improvement round over a trajectory batch.
 
@@ -179,21 +164,23 @@ def ppo_update(policy, trajectories, *, cfg, rng=None):
     back, the penalty coefficient doubles and the epoch is retried once;
     a retry that still violates the threshold is rolled back for good.
     An Adam second moment that overflowed in the round is a ValueError.
-    Returns (new PolicyParams, diagnostics dict).
+    Returns (new PolicyParams, diagnostics dict); the new holder may share
+    weight arrays with `policy`, whose arrays are never written.
     """
     rng = rng or np.random.default_rng(0)
-    states, actions, logq, reward_seqs = _flatten_batch(trajectories)
-    if not states:
+    batch = [t for traj in trajectories for t in traj.transitions]
+    if not batch:
         raise ValueError("ppo_update needs at least one non-empty trajectory")
-    states = np.asarray(states, dtype=np.float64)
-    actions = np.asarray(actions, dtype=np.float64)
-    logq = np.asarray(logq, dtype=np.float64)
-    raw_returns = np.concatenate([discounted_returns(seq, cfg.gamma) for seq in reward_seqs])
+    states = np.array([t.state for t in batch], dtype=np.float64)
+    actions = np.array([t.action for t in batch], dtype=np.float64)
+    logq = np.array([t.log_prob for t in batch], dtype=np.float64)
+    raw_returns = np.concatenate([discounted_returns([t.reward for t in traj.transitions],
+                                                     cfg.gamma) for traj in trajectories])
     std = raw_returns.std()
     norm_returns = (raw_returns - raw_returns.mean()) / (std + 1e-8)
 
     p_old = clamp_prob(policy_forward_batch(policy, states))
-    work = policy.copy()
+    work = PolicyParams(nn.MlpParams(policy.mlp.weights))
     opt = nn.adam_init(work.mlp.weights, lr=cfg.lr)
     beta = cfg.kl_coeff
     m = states.shape[0]

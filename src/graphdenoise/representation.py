@@ -32,9 +32,6 @@ class AggregatorParams:
     def feature_dim(self):
         return self.W.shape[1]
 
-    def copy(self):
-        return AggregatorParams(self.W.copy())
-
 
 @dataclass
 class ClassifierParams:
@@ -46,9 +43,6 @@ class ClassifierParams:
     @property
     def num_classes(self):
         return self.V.shape[0]
-
-    def copy(self):
-        return ClassifierParams(self.V.copy())
 
 
 def init_aggregator(embed_dim, feature_dim, rng):
@@ -99,7 +93,9 @@ def f_c_score(clf, agg, x_v, x_u, true_label):
 def micro_f1(predictions, labels):
     """Micro-averaged F1 from global TP/FP/FN counts.
 
-    For single-label multi-class input this equals plain accuracy.
+    With one label per sample every miss is one false positive (for the
+    predicted class) and one false negative (for the true class), so this
+    equals plain accuracy.
     """
     predictions = np.asarray(predictions, dtype=np.int64)
     labels = np.asarray(labels, dtype=np.int64)
@@ -107,12 +103,8 @@ def micro_f1(predictions, labels):
         raise ValueError("predictions and labels must be equal-length 1-d arrays")
     if predictions.size == 0:
         raise ValueError("micro_f1 needs at least one sample")
-    classes = np.union1d(predictions, labels)
-    tp = fp = fn = 0
-    for c in classes:
-        tp += int(np.sum((predictions == c) & (labels == c)))
-        fp += int(np.sum((predictions == c) & (labels != c)))
-        fn += int(np.sum((predictions != c) & (labels == c)))
+    tp = int(np.sum(predictions == labels))
+    fp = fn = predictions.size - tp
     if tp == 0:
         return 0.0
     precision = tp / (tp + fp)
@@ -156,8 +148,9 @@ def node_mean_vectors(graph, node_ids, neighbor_sets):
 def train_representation(agg, clf, means, labels, epochs, batch_size=256, lr=1e-3, rng=None):
     """Fit aggregator + classifier on (m, D) mean vectors and their m labels.
 
-    Returns (new agg, new clf, per-epoch mean loss history); the inputs are
-    not mutated. An empty batch, m labels for another m, a width other than
+    Returns (new agg, new clf, per-epoch mean loss history). The new holders
+    may share arrays with `agg` and `clf`, whose arrays are never written.
+    An empty batch, m labels for another m, a width other than
     agg.feature_dim, a label outside the classes or an Adam second moment
     that overflowed during the fit is a ValueError.
     """
@@ -172,8 +165,7 @@ def train_representation(agg, clf, means, labels, epochs, batch_size=256, lr=1e-
     if outside.size:
         raise ValueError(f"label {outside[0]} outside [0, {clf.num_classes})")
 
-    agg = agg.copy()
-    clf = clf.copy()
+    agg, clf = AggregatorParams(agg.W), ClassifierParams(clf.V)
     if epochs <= 0:
         return agg, clf, []
 

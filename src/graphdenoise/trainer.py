@@ -14,6 +14,7 @@ training too; this module calls the two walkers, never an episode step.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -52,9 +53,16 @@ class TrainConfig:
         if self.fc_mode != "soft":  # the only task score; kept so saved configs still load
             raise ValueError(f"fc_mode must be 'soft', got {self.fc_mode!r}")
         for name, low in (("outer_iters", 0), ("rep_lr", 0), ("rep_epochs", 1), ("batch_size", 1),
-                          ("embed_dim", 1), ("rollouts_per_node", 1)):
+                          ("embed_dim", 1), ("rollouts_per_node", 1), ("seed", 0)):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        hidden = self.policy_hidden
+        if not isinstance(hidden, (list, tuple)) or not all(
+                isinstance(h, numbers.Integral) and not isinstance(h, bool) and h >= 1
+                for h in hidden):
+            raise ValueError(f"policy_hidden must be a list of integer layer sizes >= 1, "
+                             f"got {hidden!r}")
+        self.policy_hidden = tuple(hidden)
 
     def to_dict(self):
         d = asdict(self)
@@ -76,12 +84,6 @@ class TrainConfig:
             raise ValueError(f"config key ppo must be an object, got {type(ppo).__name__}")
         if isinstance(ppo, dict):
             d["ppo"] = PPOConfig(**ppo)
-        if "policy_hidden" in d:
-            hidden = d["policy_hidden"]
-            if not isinstance(hidden, (list, tuple)):
-                raise ValueError("config key policy_hidden must be a list of layer sizes, "
-                                 f"got {type(hidden).__name__}")
-            d["policy_hidden"] = tuple(hidden)
         return cls(**d)
 
 

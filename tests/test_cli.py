@@ -264,6 +264,12 @@ def test_fc_mode_flag_is_gone(tmp_path):
     ({"ppo": {"lr": -1}}, "lr must be >= 0"),
     ({"fc_mode": "hard"}, "fc_mode must be 'soft'"),
     ("{'outer_iters': 1}", "cfg.json: Expecting property name"),  # text that is no JSON
+    ({"policy_hidden": [2.5]}, "policy_hidden"),
+    ({"policy_hidden": [0]}, "policy_hidden"),
+    ({"policy_hidden": [-1]}, "policy_hidden"),
+    ({"policy_hidden": ["a"]}, "policy_hidden"),
+    ({"policy_hidden": [True]}, "policy_hidden"),
+    ({"seed": -1}, "seed must be >= 0"),
 ])
 def test_config_shape_is_validation_error(tmp_path, capsys, overrides, named):
     assert run(synth_args(tmp_path)) == 0
@@ -288,6 +294,9 @@ def test_config_shape_is_validation_error(tmp_path, capsys, overrides, named):
     ({"n": -1}, "n must be a non-negative integer"),
     ({"n": "3", "features": None}, "n must be a non-negative integer"),
     ({"n": 2.5, "features": None}, "n must be a non-negative integer"),
+    ({"features": {"a": 1}}, "features must be a rectangular table of numbers"),
+    ({"features": [[1.0], [0.0, 1.0], [1.0]]}, "features must be a rectangular table of numbers"),
+    ({"features": [["a"], [0.0], [1.0]]}, "features must be a rectangular table of numbers"),
 ])
 def test_malformed_graph_json_is_validation_error(tmp_path, capsys, change, named):
     blob = {"n": 3, "edges": [[0, 1], [1, 2]], "features": [[1.0], [0.0], [1.0]],
@@ -297,6 +306,14 @@ def test_malformed_graph_json_is_validation_error(tmp_path, capsys, change, name
     path.write_text(json.dumps(blob))
     assert run(["noise", "--graph", str(path), "--out-dir", str(tmp_path / "out")]) == 1
     assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["5", "null", "[1, 2]", '"graph"'])
+def test_graph_json_that_is_no_object_is_validation_error(tmp_path, capsys, text):
+    path = tmp_path / "graph.json"
+    path.write_text(text)
+    assert run(["noise", "--graph", str(path), "--out-dir", str(tmp_path / "out")]) == 1
+    assert f"{path}: graph json must hold an object" in capsys.readouterr().err
 
 
 def _init_checkpoint(tmp_path, name, classes, dim):

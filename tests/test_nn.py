@@ -126,9 +126,20 @@ def test_dead_relu_unit_zeroes_inner_row_gradient():
     p = nn.MlpParams([inner, outer])
     x = np.abs(rng.standard_normal(4)) + 0.1
     _, cache = nn.mlp_forward(p, x, head="linear")
-    assert cache.pre[0][0, 1] < 0
+    assert cache.inputs[1][0, 1] == 0.0
     grads = nn.mlp_backward(p, cache, np.ones(2))
     assert np.all(grads[0][1] == 0.0)
+
+
+def test_forward_batch_leaves_caller_arrays_untouched():
+    # the hidden ReLUs run in place on their own matmul outputs, never on x or a weight
+    rng = np.random.default_rng(4)
+    p = nn.init_mlp([5, 4, 3, 1], rng)
+    x = rng.standard_normal((7, 5))
+    before = [a.copy() for a in (x, *p.weights)]
+    for head in nn.HEADS:
+        nn.mlp_forward_batch(p, x, head=head)
+    assert [a.tobytes() for a in (x, *p.weights)] == [a.tobytes() for a in before]
 
 
 def test_backward_mismatched_cache_is_rejected():

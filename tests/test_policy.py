@@ -205,6 +205,18 @@ def test_ppo_moves_policy_toward_rewarded_action():
     assert math.isfinite(diag["objective"])
 
 
+def test_ppo_update_leaves_caller_arrays_untouched():
+    # the returned policy is a new holder; the caller's weights and states keep their bits
+    policy = make_policy(seed=13)
+    batch = make_batch(policy, n_states=60, seed=14, reward_fn=lambda a: float(a))
+    arrays = [*policy.mlp.weights, *(t.state for traj in batch for t in traj.transitions)]
+    before = [a.copy() for a in arrays]
+    cfg = PPOConfig(update_epochs=3, minibatch_size=16, lr=5e-3)
+    new, _ = ppo_update(policy, batch, cfg=cfg, rng=np.random.default_rng(1))
+    assert [a.tobytes() for a in arrays] == [a.tobytes() for a in before]
+    assert not all(np.array_equal(a, b) for a, b in zip(new.mlp.weights, before))
+
+
 def test_ppo_tiny_trust_region_keeps_policy_in_place():
     policy = make_policy(seed=15)
     batch = make_batch(policy, n_states=50, seed=16, reward_fn=lambda a: float(a))

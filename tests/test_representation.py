@@ -130,6 +130,29 @@ def test_micro_f1_equals_accuracy_for_single_label():
         assert rep.micro_f1(preds, labels) == pytest.approx(float(np.mean(preds == labels)))
 
 
+def per_class_micro_f1(predictions, labels):
+    """Reference micro-F1 that sums TP/FP/FN class by class."""
+    tp = fp = fn = 0
+    for c in np.union1d(predictions, labels):
+        tp += int(np.sum((predictions == c) & (labels == c)))
+        fp += int(np.sum((predictions == c) & (labels != c)))
+        fn += int(np.sum((predictions != c) & (labels == c)))
+    if tp == 0:
+        return 0.0
+    precision = tp / (tp + fp)
+    recall = tp / (tp + fn)
+    return 2.0 * precision * recall / (precision + recall)
+
+
+def test_micro_f1_equals_per_class_reference_bit_for_bit():
+    rng = np.random.default_rng(7)
+    for _ in range(500):
+        classes, n = int(rng.integers(2, 8)), int(rng.integers(1, 40))
+        preds = rng.integers(0, classes, size=n)
+        labels = rng.integers(0, classes, size=n)
+        assert rep.micro_f1(preds, labels) == per_class_micro_f1(preds, labels)
+
+
 def test_micro_f1_rejects_empty_and_mismatched():
     with pytest.raises(ValueError):
         rep.micro_f1([], [])
@@ -166,6 +189,21 @@ def test_train_representation_zero_epochs_is_identity():
     assert losses == []
     assert np.array_equal(agg2.W, agg.W)
     assert np.array_equal(clf2.V, clf.V)
+
+
+def test_train_representation_leaves_caller_arrays_untouched():
+    # the returned agg and clf are new holders; the caller's arrays keep their bits
+    g = generate_planted_partition(30, 2, 0.3, 0.0, 4, 1.0, seed=3)
+    rng = np.random.default_rng(0)
+    agg = rep.init_aggregator(4, 4, rng)
+    clf = rep.init_classifier(2, 4, rng)
+    means, labels = _train_means(g)
+    arrays = [agg.W, clf.V, means, labels]
+    before = [a.copy() for a in arrays]
+    agg2, clf2, _ = rep.train_representation(agg, clf, means, labels, epochs=3, batch_size=8,
+                                             lr=1e-2, rng=np.random.default_rng(1))
+    assert [a.tobytes() for a in arrays] == [a.tobytes() for a in before]
+    assert not np.array_equal(agg2.W, agg.W) and not np.array_equal(clf2.V, clf.V)
 
 
 def test_train_representation_loss_decreases_over_first_epochs():

@@ -323,6 +323,13 @@ def test_config_validation():
     (TrainConfig, "select_all", "no"),
     (TrainConfig, "fc_mode", "medium"),
     (TrainConfig, "fc_mode", "hard"),  # the soft score is the only task score
+    (TrainConfig, "policy_hidden", (2.5,)),
+    (TrainConfig, "policy_hidden", (0,)),
+    (TrainConfig, "policy_hidden", (-1,)),
+    (TrainConfig, "policy_hidden", ("a",)),
+    (TrainConfig, "policy_hidden", (True,)),
+    (TrainConfig, "policy_hidden", 5),
+    (TrainConfig, "seed", -1),
     (PPOConfig, "minibatch_size", "a"),
     (PPOConfig, "gamma", True),
 ])
@@ -330,7 +337,7 @@ def test_config_value_types_are_named(cls, field, value):
     with pytest.raises(ValueError, match=field):
         cls(**{field: value})
     # numpy scalars stay valid
-    TrainConfig(seed=np.int64(3), rep_lr=np.float64(1e-3))
+    TrainConfig(seed=np.int64(3), rep_lr=np.float64(1e-3), policy_hidden=(np.int64(4),))
 
 
 def reject_walking_greedy_select(graph, v, policy, agg):
