@@ -11,8 +11,8 @@ from .graph import (Graph, GraphError, NoiseSpec, build_graph, corrupt_features,
                     generate_planted_partition, inject_edge_noise, load_graph,
                     save_graph_json, validate_graph, write_edge_list)
 from .policy import PolicyParams, PPOConfig, discounted_returns, kl_bernoulli, ppo_update
-from .representation import (AggregatorParams, ClassifierParams, aggregate, f_c_score,
-                             micro_f1, train_representation)
+from .representation import (AggregatorParams, ClassifierParams, f_c_score, micro_f1,
+                             train_representation)
 from .submodular import (CheckReport, CoverageFunction, SelectionRewardFunction, SetFunction,
                          brute_force_optimal, check_monotone, check_submodular,
                          greedy_maximize)

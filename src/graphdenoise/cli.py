@@ -45,7 +45,6 @@ def build_parser():
         return sub.add_parser(name, help=help_text,
                               formatter_class=argparse.ArgumentDefaultsHelpFormatter)
 
-
     p = add_parser("synth", "generate a planted-partition dataset")
     p.add_argument("--n", type=int, default=200, help="number of nodes")
     p.add_argument("--classes", type=int, default=2, help="number of classes")
@@ -75,24 +74,17 @@ def build_parser():
     p.add_argument("--config", default=None, help="JSON file of training-config overrides")
     _add_common(p)
 
-    p = add_parser("eval", "score a checkpoint on a mask")
-    _add_graph_input(p)
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--mask", choices=["val", "test"], default="test", help="which mask to score")
-    p.add_argument("--selection", choices=trainer.SELECTION_MODES, default="policy")
-    _add_common(p)
-
-    p = add_parser("denoise", "export the kept-edge graph")
-    _add_graph_input(p)
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--selection", choices=trainer.SELECTION_MODES, default="policy")
-    _add_common(p)
-
-    p = add_parser("report", "selected-neighbor fraction distribution")
-    _add_graph_input(p)
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--selection", choices=trainer.SELECTION_MODES, default="policy")
-    _add_common(p)
+    for name, help_text in (("eval", "score a checkpoint on a mask"),
+                            ("denoise", "export the kept-edge graph"),
+                            ("report", "selected-neighbor fraction distribution")):
+        p = add_parser(name, help_text)
+        _add_graph_input(p)
+        p.add_argument("--checkpoint", required=True)
+        if name == "eval":
+            p.add_argument("--mask", choices=["val", "test"], default="test",
+                           help="which mask to score")
+        p.add_argument("--selection", choices=trainer.SELECTION_MODES, default="policy")
+        _add_common(p)
 
     p = add_parser("check-submodular", "run the reward-property suites")
     p.add_argument("--trials", type=int, default=1000, help="randomized trials per property")
@@ -129,17 +121,10 @@ def _build_config(args):
         if not isinstance(overrides, dict):
             raise ValueError(f"--config must hold a JSON object, got {type(overrides).__name__}")
         base.update(overrides)
-    flag_map = {
-        "iters": "outer_iters",
-        "rep_epochs": "rep_epochs",
-        "batch_size": "batch_size",
-        "embed_dim": "embed_dim",
-        "seed": "seed",
-    }
-    for flag, key in flag_map.items():
+    for flag in ("iters", "rep_epochs", "batch_size", "embed_dim", "seed"):
         value = getattr(args, flag)
         if value is not None:
-            base[key] = value
+            base["outer_iters" if flag == "iters" else flag] = value
     if args.select_all:
         base["select_all"] = True
     cfg = trainer.TrainConfig.from_dict(base)
@@ -219,10 +204,8 @@ def cmd_report(args):
 
 def cmd_check_submodular(args):
     seed = _seed(args)
-    if args.graph:
-        g = load_graph(args.graph)
-    else:
-        g = generate_planted_partition(50, 2, 0.35, 0.12, 8, 1.0, seed)
+    g = (load_graph(args.graph) if args.graph
+         else generate_planted_partition(50, 2, 0.35, 0.12, 8, 1.0, seed))
     cfg = trainer.TrainConfig(embed_dim=16, seed=seed)
     _, agg, clf = trainer.init_params(g, cfg)
     node = max(range(g.num_nodes), key=lambda v: (g.degree(v), -v))
@@ -236,17 +219,14 @@ def cmd_check_submodular(args):
                                "passes": check.passes, "first_witness": check.first_witness}
     payload["order_spread"] = spread
     if len(f.ground) <= 20:
-        greedy_set, greedy_val = submodular.greedy_maximize(f)
+        _, greedy_val = submodular.greedy_maximize(f)
         _, best_val = submodular.brute_force_optimal(f)
-        payload["greedy_value"] = greedy_val
-        payload["brute_force_value"] = best_val
-        payload["bound_ok"] = bool(greedy_val >= (1.0 - 1.0 / np.e) * best_val - 1e-9)
+        payload.update(greedy_value=greedy_val, brute_force_value=best_val,
+                       bound_ok=bool(greedy_val >= (1.0 - 1.0 / np.e) * best_val - 1e-9))
     out = os.path.join(args.out_dir, "submodular_report.json")
     write_json(out, payload)
-    ok = mono.passed and sub.passed
-    print(f"monotone {mono.passes}/{mono.trials}, "
-          f"submodular {sub.passes}/{sub.trials}")
-    return 0 if ok else 1
+    print(f"monotone {mono.passes}/{mono.trials}, submodular {sub.passes}/{sub.trials}")
+    return 0 if mono.passed and sub.passed else 1
 
 
 _COMMANDS = {

@@ -1,7 +1,8 @@
 """Markov decision process for sequential signal-neighbor selection.
 
 One episode walks a single node's one-hop neighborhood, held in an
-EpisodeState of states [h_v, h_u] (width state_dim). At each step the pending
+EpisodeState of states [h_v, h_u] (width state_dim), where h_v embeds the mean
+of a running feature total (representation's one mean). At each step the pending
 candidates (plus a synthetic ending candidate) are scored, one is taken, and
 the policy accepts or rejects it. Both walkers live here: rollout
 softmax-samples the order for training and records decisions only,
@@ -66,6 +67,7 @@ class EpisodeState:
 
     target: int
     selected: list  # accepted neighbor ids, in acceptance order
+    total: np.ndarray  # the target's features plus each accepted neighbor's, in that order
     candidates: list  # not-yet-decided candidate ids; END is last
     rows: list  # table row of each pending candidate
     table: np.ndarray  # state [h_v, h_u] per neighbor, then END's [h_v, 0]
@@ -86,10 +88,11 @@ class EpisodeState:
         return self.candidates.pop(i)
 
     def accept(self, graph, agg, u):
-        """Add u to the selected set and re-embed the target (every row's h_v) from it."""
+        """Add u to the selected set and re-embed every row's h_v from total / (k + 1)."""
         self.selected.append(u)
-        self.table[:, :agg.embed_dim] = rep.aggregate(agg, graph.features[self.target],
-                                                      graph.features[self.selected])
+        self.total += graph.features[u]
+        mean = self.total / (len(self.selected) + 1)
+        self.table[:, :agg.embed_dim] = rep.embed_means(agg, mean[None])[0]
 
 
 def init_episode(graph, v, agg):
@@ -100,8 +103,9 @@ def init_episode(graph, v, agg):
     # END carries an all-zero feature vector, so its embedding relu(W 0) is zero
     table = np.zeros((neighbors.size + 1, state_dim(agg.embed_dim)))
     table[:-1, agg.embed_dim:] = rep.embed_means(agg, graph.features[neighbors])
-    table[:, :agg.embed_dim] = rep.aggregate(agg, graph.features[v], graph.features[:0])
-    return EpisodeState(target=int(v), selected=[], candidates=neighbors.tolist() + [END],
+    table[:, :agg.embed_dim] = rep.embed_means(agg, graph.features[v][None])[0]
+    return EpisodeState(target=int(v), selected=[], total=graph.features[v].copy(),
+                        candidates=neighbors.tolist() + [END],
                         rows=list(range(neighbors.size + 1)), table=table)
 
 

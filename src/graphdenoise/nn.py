@@ -115,11 +115,9 @@ def mlp_backward_batch(params, cache, upstream):
     upstream is d(loss)/d(output), shape (m, out_dim), for the forward call
     that produced cache.
     """
-    if len(cache.inputs) != len(params.weights):
+    if len(cache.inputs) != len(params.weights) or any(
+            a.shape[1] != w.shape[1] for w, a in zip(params.weights, cache.inputs)):
         raise ValueError("cache does not match parameter stack")
-    for w, a in zip(params.weights, cache.inputs):
-        if a.shape[1] != w.shape[1]:
-            raise ValueError("cache does not match parameter stack")
     upstream = np.asarray(upstream, dtype=np.float64)
     y = cache.output
     if upstream.shape != y.shape:

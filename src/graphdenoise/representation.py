@@ -1,11 +1,12 @@
 """Mean-aggregator node embeddings, the softmax classifier, per-node task
 scores, and micro-averaged F1.
 
-A node's embedding is relu(W @ mean({x_v} union neighbor features)); with no
-neighbors the mean collapses to the node's own feature vector. node_mean_vectors
-is the one place that averages kept sets; the fit trains the aggregator and the
-linear softmax head by cross-entropy on the means its caller passes. That maths
-runs only in embed_means and classify_batch; single nodes are one-row batches.
+A node's embedding is relu(W @ mean). The mean is one running total, the node's
+own features plus each kept neighbor's in order, over the count: episodes keep
+it as they accept (env.EpisodeState), and node_mean_vectors adds the same rows
+in the same order for a batch of CSR kept sets, so both give the same bits. The
+fit trains the aggregator and the linear softmax head by cross-entropy on the
+means its caller passes. That maths runs only in embed_means and classify_batch.
 """
 
 from __future__ import annotations
@@ -53,27 +54,13 @@ def init_classifier(num_classes, embed_dim, rng):
     return ClassifierParams(nn.glorot(num_classes, embed_dim, rng))
 
 
-def mean_with_self(x, rows):
-    """Mean of the node's own (D,) features x and its neighbors' (m, D) rows;
-    self-only if m is 0."""
-    if len(rows) == 0:
-        return x.copy()
-    if rows.shape[1:] != x.shape:
-        raise ValueError(f"neighbor feature shape {rows.shape[1:]} != {x.shape}")
-    return np.concatenate([x[None], rows]).sum(axis=0) / (len(rows) + 1)  # mean(0), bit for bit
-
-
-def aggregate(agg, x, rows):
-    """Embed a node from its own (D,) features plus its neighbors' (m, D) rows."""
-    m = mean_with_self(x, rows)
-    if m.shape[0] != agg.feature_dim:
-        raise ValueError(f"feature dim {m.shape[0]} != aggregator dim {agg.feature_dim}")
-    return embed_means(agg, m[None])[0]
-
-
 def embed_means(agg, means):
-    """Embeddings relu(W m), one row per row of the (m, D) mean vectors."""
-    z = np.asarray(means, dtype=np.float64) @ agg.W.T
+    """Embeddings relu(W m), one row per row of the (m, D) mean vectors; a
+    width D other than agg.feature_dim is a ValueError naming both."""
+    means = np.asarray(means, dtype=np.float64)
+    if means.shape[-1] != agg.feature_dim:
+        raise ValueError(f"feature width {means.shape[-1]} != aggregator width {agg.feature_dim}")
+    z = means @ agg.W.T
     return np.maximum(z, 0.0, out=z)  # in place: a second buffer slowed the fit
 
 
@@ -87,7 +74,7 @@ def f_c_score(clf, agg, x_v, x_u, true_label):
     true_label = int(true_label)
     if not 0 <= true_label < clf.num_classes:
         raise ValueError(f"label {true_label} outside [0, {clf.num_classes})")
-    return float(classify_batch(clf, aggregate(agg, x_v, x_u[None])[None])[0, true_label])
+    return float(classify_batch(clf, embed_means(agg, ((x_v + x_u) / 2)[None]))[0, true_label])
 
 
 def micro_f1(predictions, labels):
@@ -136,13 +123,16 @@ def prediction_loss_grads(agg, clf, means, labels):
     return loss, d_w, d_v
 
 
-def node_mean_vectors(graph, node_ids, neighbor_sets):
-    """Stack mean_with_self for each node given its selected neighbor ids."""
-    means = np.empty((len(node_ids), graph.feature_dim))
-    for i, v in enumerate(node_ids):
-        means[i] = mean_with_self(graph.features[v],
-                                  graph.features[np.asarray(neighbor_sets[v], dtype=np.int64)])
-    return means
+def node_mean_vectors(graph, node_ids, kept):
+    """Mean of each node's own features and its kept neighbors' (ids
+    indices[indptr[i]:indptr[i + 1]] of kept = (indptr, indices) for node_ids[i]).
+    np.add.at adds rows one at a time in index order, as an episode's running
+    total does; reduceat would sum each segment pairwise and move the last bit."""
+    indptr, indices = kept
+    counts = np.diff(indptr)
+    total = graph.features[node_ids]  # a copy: fancy indexing
+    np.add.at(total, np.repeat(np.arange(counts.size), counts), graph.features[indices])
+    return total / (counts + 1)[:, None]
 
 
 def train_representation(agg, clf, means, labels, epochs, batch_size=256, lr=1e-3, rng=None):

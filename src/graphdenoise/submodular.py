@@ -81,7 +81,7 @@ class SelectionRewardFunction(SetFunction):
     """Accumulated episode reward of a node's neighbor subset.
 
     Per-item values are the frozen per-neighbor task scores
-    f_c(aggregate(x_v, {x_u})); they are nonnegative, so every single-item
+    f_c(embed((x_v + x_u) / 2)); they are nonnegative, so every single-item
     gain val(c) / (sum over S of val + val(c)) is nonnegative and shrinks
     as S grows, which is exactly what the checkers probe.
     """

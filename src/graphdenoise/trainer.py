@@ -1,14 +1,13 @@
 """Iteration-wise optimization: alternate representation learning with policy
 improvement, plus evaluation, denoised-graph export and selection statistics.
 
-Each outer iteration first freezes the policy and walks (unpriced) one
-episode per training node with env.rollout; the means over the kept sets
-(built once for keep-all) fit the aggregator and classifier. Then it
-freezes those, pays fresh walks and runs PPO on them.
-Validation micro-F1 is logged per iteration and the best-validation
-parameters are the ones returned. Evaluation, export and the report keep
-what env.greedy_select decodes, deterministically and for nodes unseen in
-training too; this module calls the two walkers, never an episode step.
+Each outer iteration first freezes the policy and walks (unpriced) one episode
+per training node with env.rollout; the means over the kept sets (built once for
+keep-all) fit the aggregator and classifier. Then it freezes those, pays fresh
+walks and runs PPO on them, and logs validation micro-F1; the best-validation
+parameters are returned. Kept sets travel as CSR arrays (indptr, indices).
+Evaluation, export and the report keep what env.greedy_select decodes, also for
+unseen nodes; this module calls the two walkers, never an episode step.
 """
 
 from __future__ import annotations
@@ -16,6 +15,7 @@ from __future__ import annotations
 import json
 import numbers
 from dataclasses import asdict, dataclass, field, fields
+from itertools import chain
 
 import numpy as np
 
@@ -136,19 +136,17 @@ def train(graph, cfg):
     labels = graph.labels[train_ids]
     if cfg.select_all:  # keep-all sets never change, so neither do their means
         means, val_means = (rep.node_mean_vectors(graph, ids,
-                                                  _decoded_sets(graph, policy, agg, "all", ids))
+                                                  _kept_sets(graph, policy, agg, "all", ids))
                             for ids in (train_ids, val_ids))
 
     for it in range(cfg.outer_iters):
         # phase 1: freeze the policy, walk (unpriced) to materialize selection
         # sets, fit the aggregator + classifier on their means
         if not cfg.select_all:
-            selected = {}
-            for v in train_ids:
-                traj = env.rollout(graph, int(v), policy, agg,
-                                   spawn_rng(cfg.seed, _K_SELECT, it, v))
-                selected[int(v)] = [t.candidate for t in traj.transitions if t.action == 1]
-            means = rep.node_mean_vectors(graph, train_ids, selected)
+            walks = (env.rollout(graph, int(v), policy, agg, spawn_rng(cfg.seed, _K_SELECT, it, v))
+                     for v in train_ids)
+            means = rep.node_mean_vectors(graph, train_ids, _csr(
+                [[t.candidate for t in w.transitions if t.action == 1] for w in walks]))
         agg, clf, losses = rep.train_representation(
             agg, clf, means, labels, cfg.rep_epochs, cfg.batch_size,
             cfg.rep_lr, spawn_rng(cfg.seed, _K_REP, it))
@@ -184,14 +182,22 @@ def train(graph, cfg):
     return TrainResult(best[0], best[1], best[2], history, best_iter)
 
 
-def _decoded_sets(graph, policy, agg, selection, nodes):
+def _csr(sets):
+    """(indptr, indices) of a list of id lists: row i is indices[indptr[i]:indptr[i + 1]]."""
+    indptr = np.cumsum([0] + [len(s) for s in sets])
+    return indptr, np.fromiter(chain.from_iterable(sets), np.int64, indptr[-1])
+
+
+def _kept_sets(graph, policy, agg, selection, nodes):
+    """The kept neighbors of each of the (k,) node ids as CSR arrays (indptr, indices)."""
     if selection not in SELECTION_MODES:
         raise ValueError(f"selection must be one of {SELECTION_MODES}")
-    if selection == "all":
-        return {int(v): graph.neighbors(v) for v in nodes}
-    if selection == "none":
-        return {int(v): [] for v in nodes}
-    return {int(v): greedy_select(graph, int(v), policy, agg) for v in nodes}
+    if selection == "policy":
+        return _csr([greedy_select(graph, int(v), policy, agg) for v in nodes])
+    starts = graph.indptr[nodes]
+    counts = graph.indptr[nodes + 1] - starts if selection == "all" else np.zeros_like(starts)
+    indptr = np.concatenate(([0], np.cumsum(counts)))
+    return indptr, graph.indices[np.arange(indptr[-1]) + np.repeat(starts - indptr[:-1], counts)]
 
 
 def evaluate(policy, agg, clf, graph, mask="test", selection="policy"):
@@ -215,7 +221,7 @@ def evaluate(policy, agg, clf, graph, mask="test", selection="policy"):
     labels = graph.labels[nodes]
     if labels.max() >= clf.num_classes:
         raise ValueError(f"label {labels.max()} outside the classifier's {clf.num_classes} classes")
-    means = rep.node_mean_vectors(graph, nodes, _decoded_sets(graph, policy, agg, selection, nodes))
+    means = rep.node_mean_vectors(graph, nodes, _kept_sets(graph, policy, agg, selection, nodes))
     return _micro_f1(agg, clf, means, labels)
 
 
@@ -232,8 +238,9 @@ def export_denoised_graph(policy, agg, graph, path, selection="policy"):
     is the union rule: edge (u, v) survives iff u keeps v or v keeps u.
     Output edges are always a subset of the input edges.
     """
-    kept_sets = _decoded_sets(graph, policy, agg, selection, range(graph.num_nodes))
-    edges = [(v, u) for v, kept in kept_sets.items() for u in kept]
+    nodes = np.arange(graph.num_nodes)
+    indptr, indices = _kept_sets(graph, policy, agg, selection, nodes)
+    edges = np.column_stack([np.repeat(nodes, np.diff(indptr)), indices])
     denoised = build_graph(graph.num_nodes, edges, graph.features, graph.labels,
                            masks={"train": graph.train_mask, "val": graph.val_mask,
                                   "test": graph.test_mask})
@@ -244,8 +251,8 @@ def export_denoised_graph(policy, agg, graph, path, selection="policy"):
 def selection_report(policy, agg, graph, selection="policy"):
     """Kept-neighbor fraction per non-isolated node plus a 10-bin histogram."""
     nodes = np.flatnonzero(np.diff(graph.indptr))
-    kept_sets = _decoded_sets(graph, policy, agg, selection, nodes)
-    fractions = np.array([len(kept_sets[int(v)]) / graph.degree(v) for v in nodes])
+    indptr, _ = _kept_sets(graph, policy, agg, selection, nodes)
+    fractions = np.diff(indptr) / np.diff(graph.indptr)[nodes]
     histogram, _ = np.histogram(fractions, bins=10, range=(0.0, 1.0))
     return SelectionReport(nodes, fractions, histogram)
 

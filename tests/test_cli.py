@@ -297,6 +297,10 @@ def test_config_shape_is_validation_error(tmp_path, capsys, overrides, named):
     ({"features": {"a": 1}}, "features must be a rectangular table of numbers"),
     ({"features": [[1.0], [0.0, 1.0], [1.0]]}, "features must be a rectangular table of numbers"),
     ({"features": [["a"], [0.0], [1.0]]}, "features must be a rectangular table of numbers"),
+    ({"features": [["1.5"], [0.0], [1.0]]}, "table of numbers, got '1.5'"),
+    ({"features": [[True], [0.0], [1.0]]}, "table of numbers, got True"),
+    ({"edges": [[0, True], [1, 2]]}, "integer node ids, got True"),
+    ({"labels": [0, True, 1]}, "integer class ids, got True"),
 ])
 def test_malformed_graph_json_is_validation_error(tmp_path, capsys, change, named):
     blob = {"n": 3, "edges": [[0, 1], [1, 2]], "features": [[1.0], [0.0], [1.0]],

@@ -44,17 +44,29 @@ def test_init_candidate_count_includes_ending_candidate():
     assert state.candidates[-1] == env.END
 
 
+def self_embedding(agg, x):
+    """relu(W x): a node's embedding with nothing kept."""
+    return np.maximum(agg.W @ x, 0.0)
+
+
+def batch_embedding(g, agg, v, selected):
+    """h_v from the batch path: the CSR kept set's mean, embedded."""
+    kept = (np.array([0, len(selected)]), np.array(selected, dtype=np.int64))
+    return rep.embed_means(agg, rep.node_mean_vectors(g, [v], kept))[0]
+
+
 def test_init_embedding_is_self_only_aggregate():
     g, agg, _, _ = make_setup()
     state = env.init_episode(g, 5, agg)
     # one state row [h_v, h_u] per candidate, END's last, in candidate order
     assert state.table.shape == (len(state.candidates), 12)
     assert state.rows == list(range(len(state.candidates)))
+    assert np.array_equal(state.total, g.features[5])
     for h_v in state.table[:, :6]:
-        assert np.allclose(h_v, rep.aggregate(agg, g.features[5], []))
+        assert np.allclose(h_v, self_embedding(agg, g.features[5]))
     for i, u in enumerate(state.candidates[:-1]):
-        assert np.allclose(state.table[i, 6:], rep.aggregate(agg, g.features[u], []))
-    assert np.array_equal(state.table[-1, 6:], rep.aggregate(agg, np.zeros(4), []))
+        assert np.allclose(state.table[i, 6:], self_embedding(agg, g.features[u]))
+    assert np.array_equal(state.table[-1, 6:], np.zeros(6))
 
 
 def test_init_rejects_bad_node():
@@ -102,9 +114,9 @@ def test_regret_scores_match_per_candidate_forward():
     g, agg, _, policy = make_setup(seed=4)
     state = env.init_episode(g, 1, agg)
     scores, probs, states = state.candidate_scores(policy)
-    h_v = rep.aggregate(agg, g.features[1], [])
+    h_v = self_embedding(agg, g.features[1])
     for i, u in enumerate(state.candidates):
-        h_u = np.zeros(6) if u == env.END else rep.aggregate(agg, g.features[u], [])
+        h_u = np.zeros(6) if u == env.END else self_embedding(agg, g.features[u])
         assert np.allclose(states[i], np.concatenate([h_v, h_u]), rtol=0, atol=1e-12)
         out, _ = nn.mlp_forward(policy.mlp, states[i], head="linear")
         assert scores[i] == pytest.approx(out[0], abs=1e-12)
@@ -269,6 +281,8 @@ def test_rollout_is_deterministic_given_seed():
 
 
 def test_incremental_embedding_matches_recomputation():
+    # one mean: the episode's running total and the batch's segment sum give
+    # the same bits, and for D >= 2 so does the re-averaged stack they replaced
     g, agg, _, policy = make_setup(seed=13)
     v = max(range(g.num_nodes), key=g.degree)
     state = env.init_episode(g, v, agg)
@@ -277,16 +291,36 @@ def test_incremental_embedding_matches_recomputation():
         u = state.take(0)
         if rng.integers(2):
             state.accept(g, agg, u)
-        scratch = rep.aggregate(agg, g.features[v], g.features[state.selected])
-        assert np.max(np.abs(state.table[:, :6] - scratch)) < 1e-12
+        rows = g.features[state.selected]
+        stacked = np.concatenate([g.features[v][None], rows]).sum(axis=0) / (len(rows) + 1)
+        assert np.array_equal(state.total / (len(rows) + 1), stacked)
+        for h_v in state.table[:, :6]:
+            assert np.array_equal(h_v, batch_embedding(g, agg, v, state.selected))
+    assert len(state.selected) >= 2
     # rollout states carry the same incremental embedding
     traj = env.rollout(g, v, policy, agg, np.random.default_rng(6))
     selected = []
     for t in traj.transitions:
-        scratch = rep.aggregate(agg, g.features[v], g.features[selected])
-        assert np.max(np.abs(t.state[:6] - scratch)) < 1e-12
+        assert np.array_equal(t.state[:6], batch_embedding(g, agg, v, selected))
         if t.action == 1:
             selected.append(t.candidate)
+
+
+def test_one_column_hub_episode_matches_batch_mean():
+    # with D = 1 numpy's sum(axis=0) adds pairwise past 8 rows; the episode's
+    # total and the batch's np.add.at both add in order, so they still agree
+    rng = np.random.default_rng(7)
+    n = 14
+    g = build_graph(n, [(0, u) for u in range(1, n)], rng.standard_normal((n, 1)) * 1e3,
+                    [0] * n)
+    agg = rep.init_aggregator(3, 1, rng)
+    state = env.init_episode(g, 0, agg)
+    assert g.degree(0) > 8
+    while len(state.candidates) > 1:
+        state.accept(g, agg, state.take(0))
+        for h_v in state.table[:, :3]:
+            assert np.array_equal(h_v, batch_embedding(g, agg, 0, state.selected))
+    assert len(state.selected) == n - 1
 
 
 def test_state_vectors_always_twice_embedding_dim(tmp_path):

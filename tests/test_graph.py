@@ -1,4 +1,5 @@
 import hashlib
+import re
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -374,6 +375,19 @@ def test_validate_accepts_a_canonical_hand_built_graph():
 def test_validate_names_each_broken_invariant(indptr, indices, message):
     with pytest.raises(GraphError, match=message):
         validate_graph(hand_graph(indptr, indices))
+
+
+@pytest.mark.parametrize("edges, features, labels, named", [
+    ([[0, 1]], [["1.5"], [0.0], [1.0]], [0, 1, 1], "table of numbers, got '1.5'"),
+    ([[0, 1]], [[True], [0.0], [1.0]], [0, 1, 1], "table of numbers, got True"),
+    ([[0, True]], [[1.0], [0.0], [1.0]], [0, 1, 1], "integer node ids, got True"),
+    ([[0, 1]], [[1.0], [0.0], [1.0]], [0, True, 1], "integer class ids, got True"),
+    ([[0, 1]], [[1.0], [0.0], [1.0]], [0, "1", 1], "integer class ids, got '1'"),
+], ids=["string-feature", "bool-feature", "bool-edge", "bool-label", "string-label"])
+def test_build_graph_rejects_values_numpy_would_coerce(edges, features, labels, named):
+    # judged by the parsed values' types: numpy reads "1.5" as 1.5 and True as 1
+    with pytest.raises(GraphError, match=re.escape(named)):
+        build_graph(3, edges, features, labels)
 
 
 def test_json_edge_rows_ignore_extra_columns(tmp_path):

@@ -5,47 +5,78 @@ import numpy as np
 import pytest
 
 from graphdenoise import representation as rep
-from graphdenoise.graph import generate_planted_partition
+from graphdenoise.graph import build_graph, generate_planted_partition
+
+
+def csr(sets):
+    """(indptr, indices) kept-set arrays of a list of id lists."""
+    indptr = np.cumsum([0] + [len(s) for s in sets])
+    return indptr, np.array([u for s in sets for u in s], dtype=np.int64)
+
+
+def star(x, rows):
+    """Node 0 with features x, joined to one node per row of rows."""
+    feats = np.vstack([x, np.reshape(rows, (-1, len(x)))])
+    n = feats.shape[0]
+    return build_graph(n, [(0, u) for u in range(1, n)], feats, [0] * n)
+
+
+def embed_kept(agg, g, kept):
+    """Node 0's embedding through the one mean, keeping the given neighbor ids."""
+    return rep.embed_means(agg, rep.node_mean_vectors(g, [0], csr([kept])))[0]
 
 
 def test_aggregate_empty_neighbors_is_self_embedding():
     rng = np.random.default_rng(0)
     agg = rep.init_aggregator(5, 3, rng)
     x = rng.standard_normal(3)
-    assert np.allclose(rep.aggregate(agg, x, []), np.maximum(agg.W @ x, 0.0))
+    g = star(x, rng.standard_normal((2, 3)))
+    assert np.allclose(embed_kept(agg, g, []), np.maximum(agg.W @ x, 0.0))
 
 
 def test_aggregate_identical_neighbors_match_empty_set():
     rng = np.random.default_rng(1)
     agg = rep.init_aggregator(4, 3, rng)
     x = rng.standard_normal(3)
-    assert np.allclose(rep.aggregate(agg, x, np.stack([x, x])),
-                       rep.aggregate(agg, x, []), atol=1e-12)
+    g = star(x, np.stack([x, x]))
+    assert np.allclose(embed_kept(agg, g, [1, 2]), embed_kept(agg, g, []), atol=1e-12)
 
 
 def test_aggregate_zero_weights_give_zero_embedding():
     agg = rep.AggregatorParams(np.zeros((4, 3)))
-    out = rep.aggregate(agg, np.array([9.0, -3.0, 2.0]), np.ones((1, 3)))
+    out = embed_kept(agg, star(np.array([9.0, -3.0, 2.0]), np.ones((1, 3))), [1])
     assert np.all(out == 0.0)
 
 
 def test_aggregate_is_permutation_invariant():
     rng = np.random.default_rng(2)
     agg = rep.init_aggregator(6, 4, rng)
-    x = rng.standard_normal(4)
-    nbrs = rng.standard_normal((5, 4))
-    base = rep.aggregate(agg, x, nbrs)
+    g = star(rng.standard_normal(4), rng.standard_normal((5, 4)))
+    base = embed_kept(agg, g, [1, 2, 3, 4, 5])
     for _ in range(5):
-        order = rng.permutation(5)
-        assert np.allclose(rep.aggregate(agg, x, nbrs[order]), base, atol=1e-12)
+        order = rng.permutation(5) + 1
+        assert np.allclose(embed_kept(agg, g, order.tolist()), base, atol=1e-12)
 
 
 def test_aggregate_rejects_dimension_mismatch():
     agg = rep.AggregatorParams(np.zeros((4, 3)))
-    with pytest.raises(ValueError):
-        rep.aggregate(agg, np.zeros(3), np.zeros((1, 2)))
-    with pytest.raises(ValueError):
-        rep.aggregate(agg, np.zeros(5), [])
+    for means in (np.zeros((1, 5)), np.zeros((0, 2))):
+        with pytest.raises(ValueError, match=f"feature width {means.shape[1]} != "
+                                             "aggregator width 3"):
+            rep.embed_means(agg, means)
+
+
+def test_node_mean_vectors_add_kept_rows_in_order():
+    # the segment sum adds each kept row in order onto the node's own, so for
+    # D >= 2 it matches the stacked sum(axis=0) mean bit for bit
+    g = generate_planted_partition(60, 3, 0.3, 0.05, 5, 1.5, seed=4)
+    rng = np.random.default_rng(5)
+    nodes = rng.permutation(g.num_nodes)[:40]
+    sets = [[u for u in g.neighbors(v) if rng.random() < 0.6] for v in nodes]
+    means = rep.node_mean_vectors(g, nodes, csr(sets))
+    for v, kept, mean in zip(nodes, sets, means):
+        rows = np.concatenate([g.features[v][None], g.features[kept]])
+        assert np.array_equal(mean, rows.sum(axis=0) / len(rows))
 
 
 def test_classify_zero_weights_is_uniform():
@@ -163,7 +194,7 @@ def test_micro_f1_rejects_empty_and_mismatched():
 def _train_means(g):
     """Keep-all mean vectors and labels of g's training nodes."""
     train_ids = np.flatnonzero(g.train_mask)
-    sets = {v: g.neighbors(v) for v in train_ids}
+    sets = csr([g.neighbors(v) for v in train_ids])
     return rep.node_mean_vectors(g, train_ids, sets), g.labels[train_ids]
 
 

@@ -1,12 +1,15 @@
+import contextlib
 import importlib
 import importlib.util
 import inspect
+import io
+import json
 import os
 from unittest import mock
 
 import numpy as np
 
-from graphdenoise import env, nn, policy, trainer
+from graphdenoise import cli, env, nn, policy, trainer
 from graphdenoise import representation as rep
 from graphdenoise.graph import generate_planted_partition
 
@@ -100,3 +103,60 @@ def test_keep_all_train_builds_training_means_once():
         ids = np.flatnonzero(mask)
         assert ids.size and sum(np.array_equal(c.args[1], ids)
                                 for c in means.call_args_list) == 1
+
+
+def _zero_predictions(workload):
+    with open(os.path.join(PERFBENCH, "design.json"), encoding="utf-8") as fh:
+        return json.load(fh)["workloads"][workload]["zero"]
+
+
+def _traced_layers(tracer_mod, work):
+    """Per-layer metrics of work() run as one traced body."""
+    tracer = tracer_mod.Tracer(run_id=0)
+    with tracer.installed([]), tracer.region("body") as region:
+        work()
+    return tracer_mod.layer_metrics(tracer.subtree(region), [], tracer.counts)
+
+
+def test_keep_all_path_meets_keepall_wide_zero_predictions(monkeypatch, tmp_path):
+    # the traced keepall-wide run checks these on its body; a keep-all train,
+    # evaluate or export that starts to decode, walk or score fails here first
+    monkeypatch.syspath_prepend(PERFBENCH)
+    tracer_mod, workloads = load_perfbench("tracer"), load_perfbench("workloads")
+    _, cfg = workloads._denoise_configs(0)
+    cfg.outer_iters = 2
+    g = generate_planted_partition(40, 2, 0.3, 0.05, 8, 1.0, seed=0)
+
+    def work():
+        result = trainer.train(g, cfg)
+        trainer.evaluate(result.policy, result.agg, result.clf, g, "test", selection="all")
+        trainer.export_denoised_graph(result.policy, result.agg, g, tmp_path / "kept.txt",
+                                      selection="all")
+    layers = _traced_layers(tracer_mod, work)
+    assert layers["representation.means_s"] > 0 and layers["trainer.export_s"] > 0
+    assert [n for n in _zero_predictions("keepall-wide") if layers[n] != 0] == []
+
+
+def test_cli_inference_meets_infer_skewed_zero_predictions(tmp_path):
+    # the traced infer-skewed run checks these on its CLI eval, denoise and
+    # report of a checkpoint; tracing must not change what the commands write
+    tracer_mod = load_perfbench("tracer")
+    graph_dir = tmp_path / "graph"
+    assert cli.run(["synth", "--n", "60", "--classes", "3", "--p-in", "0.3", "--p-out", "0.05",
+                    "--dim", "4", "--seed", "3", "--out-dir", str(graph_dir)]) == 0
+    graph_path = str(graph_dir / "graph.json")
+    assert cli.run(["train", "--graph", graph_path, "--iters", "1", "--rep-epochs", "5",
+                    "--embed-dim", "6", "--out-dir", str(graph_dir)]) == 0
+
+    def commands(out):
+        common = ["--graph", graph_path, "--checkpoint", str(graph_dir / "checkpoint.json"),
+                  "--out-dir", str(out)]
+        with contextlib.redirect_stdout(io.StringIO()):
+            for argv in (["eval", "--mask", "test"], ["denoise"], ["report"]):
+                assert cli.run(argv + common) == 0
+        return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    traced = {}
+    layers = _traced_layers(tracer_mod, lambda: traced.update(commands(tmp_path / "traced")))
+    assert layers["trainer.decode_calls"] > 0 and layers["graph.load_s"] > 0
+    assert [n for n in _zero_predictions("infer-skewed") if layers[n] != 0] == []
+    assert "eval.json" in traced and traced == commands(tmp_path / "plain")

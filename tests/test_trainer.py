@@ -165,8 +165,8 @@ def test_evaluate_select_all_equals_plain_mean_aggregator():
     score = trainer.evaluate(policy, agg, clf, g, "test", selection="all")
     # independent pipeline: full-neighborhood means -> embed -> argmax
     nodes = np.flatnonzero(g.test_mask)
-    sets = {int(v): g.neighbors(v) for v in nodes}
-    means = rep.node_mean_vectors(g, nodes, sets)
+    means = np.array([np.concatenate([g.features[v][None], g.features[g.neighbors(v)]]).mean(0)
+                      for v in nodes])
     preds = np.argmax(rep.classify_batch(clf, rep.embed_means(agg, means)), axis=1)
     assert score == rep.micro_f1(preds, g.labels[nodes])
 
@@ -210,6 +210,23 @@ def test_evaluate_rejects_bad_node_ids(selection, ids, named):
     policy, agg, clf = trainer.init_params(g, small_config(seed=13))
     with pytest.raises(ValueError, match=re.escape(named)):
         trainer.evaluate(policy, agg, clf, g, np.array(ids), selection)
+
+
+@pytest.mark.parametrize("call", ["evaluate-policy", "evaluate-all", "evaluate-none",
+                                  "report-policy", "export-policy"])
+def test_feature_width_mismatch_names_both_widths(call, tmp_path):
+    # parameters made for 4-wide features, handed a graph with 5-wide ones
+    g = generate_planted_partition(40, 2, 0.4, 0.1, 5, 1.5, seed=19)
+    policy, agg, clf = trainer.init_params(small_graph(seed=19), small_config(seed=19))
+    calls = {
+        "evaluate-policy": lambda: trainer.evaluate(policy, agg, clf, g, "test"),
+        "evaluate-all": lambda: trainer.evaluate(policy, agg, clf, g, "test", "all"),
+        "evaluate-none": lambda: trainer.evaluate(policy, agg, clf, g, "test", "none"),
+        "report-policy": lambda: trainer.selection_report(policy, agg, g),
+        "export-policy": lambda: trainer.export_denoised_graph(policy, agg, g, tmp_path / "e"),
+    }
+    with pytest.raises(ValueError, match=re.escape("feature width 5 != aggregator width 4")):
+        calls[call]()
 
 
 def test_export_select_all_keeps_every_edge(tmp_path):
