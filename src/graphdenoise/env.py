@@ -65,7 +65,6 @@ def marginal_rewards(scores):
 class EpisodeState:
     """Mutable bookkeeping for one node's selection episode."""
 
-    target: int
     selected: list  # accepted neighbor ids, in acceptance order
     total: np.ndarray  # the target's features plus each accepted neighbor's, in that order
     candidates: list  # not-yet-decided candidate ids; END is last
@@ -104,7 +103,7 @@ def init_episode(graph, v, agg):
     table = np.zeros((neighbors.size + 1, state_dim(agg.embed_dim)))
     table[:-1, agg.embed_dim:] = rep.embed_means(agg, graph.features[neighbors])
     table[:, :agg.embed_dim] = rep.embed_means(agg, graph.features[v][None])[0]
-    return EpisodeState(target=int(v), selected=[], total=graph.features[v].copy(),
+    return EpisodeState(selected=[], total=graph.features[v].copy(),
                         candidates=neighbors.tolist() + [END],
                         rows=list(range(neighbors.size + 1)), table=table)
 

@@ -4,8 +4,7 @@ Graphs are undirected, unweighted, with dense 0-based node ids, per-node
 feature rows, integer class labels, and disjoint train/val/test masks.
 Neighbor lists are compressed sparse rows: node v's neighbors are
 ``indices[indptr[v]:indptr[v + 1]]``, ascending and duplicate-free, and each
-edge appears from both ends. Other modules read them only through
-``neighbors``, ``degree``, ``edge_list``, ``edge_set`` and ``num_edges``.
+edge appears from both ends; ``trainer`` slices them into kept sets directly.
 Instances are frozen after construction: the arrays are marked read-only and
 every producer returns a fresh value, so graphs can be shared freely.
 """
@@ -82,19 +81,21 @@ def _node_count(n):
     return int(n)
 
 
-def _reject_coerced(values, number, message, rows=False):
-    """GraphError naming the first entry of a list (of rows, if rows) that is a bool
-    or no `number`, which numpy would coerce ("1.5" to 1.5, true to 1)."""
+def reject_coerced(values, number, message, rows=False):
+    """values, or a GraphError naming a list entry (row entry, if rows) that is no `number`
+    or a bool for a non-bool `number`, which numpy would coerce ("1.5" to 1.5, true to 1)."""
     if isinstance(values, np.ndarray):  # its dtype says what it holds
-        return
+        return values
     entries = (lambda: chain.from_iterable(values)) if rows else (lambda: values)
     try:
-        bad = {t for t in set(map(type, entries())) if not issubclass(t, number) or t is bool}
+        bad = {t for t in set(map(type, entries()))
+               if not issubclass(t, number) or (t is bool) != (number is bool)}
     except TypeError:  # values or a row is no sequence; the conversion names it
-        return
+        return values
     for x in entries() if bad else ():
         if type(x) in bad:
             raise GraphError(f"{message}, got {x!r}")
+    return values
 
 
 def build_graph(num_nodes, edges, features, labels, masks=None, split_seed=0):
@@ -106,10 +107,10 @@ def build_graph(num_nodes, edges, features, labels, masks=None, split_seed=0):
     (seeded) is generated.
     """
     n = _node_count(num_nodes)
-    _reject_coerced(features, numbers.Real, "features must be a rectangular table of numbers",
+    reject_coerced(features, numbers.Real, "features must be a rectangular table of numbers",
                     rows=True)
-    _reject_coerced(labels, numbers.Integral, f"labels must be ({n},) integer class ids")
-    _reject_coerced(edges, numbers.Integral, "edges must be rows of integer node ids", rows=True)
+    reject_coerced(labels, numbers.Integral, f"labels must be ({n},) integer class ids")
+    reject_coerced(edges, numbers.Integral, "edges must be rows of integer node ids", rows=True)
     try:
         features = np.asarray(features, dtype=np.float64)
     except (TypeError, ValueError) as exc:  # ragged rows
@@ -141,10 +142,12 @@ def build_graph(num_nodes, edges, features, labels, masks=None, split_seed=0):
     indptr, indices = np.searchsorted(keys // n, np.arange(n + 1)), keys % n
 
     if masks is None:
-        train, val, test = stratified_split(labels, rng=np.random.default_rng(split_seed))
+        train, val, test = stratified_split(labels, np.random.default_rng(split_seed))
     else:
         try:
-            train, val, test = (np.asarray(masks[k], dtype=bool) for k in ("train", "val", "test"))
+            train, val, test = (
+                np.asarray(reject_coerced(masks[k], bool, f"{k} mask must hold booleans"), dtype=bool)
+                for k in ("train", "val", "test"))
         except (KeyError, TypeError) as exc:  # a key is missing, or masks is no mapping
             raise GraphError(f"masks must map train, val and test to vectors ({exc})") from exc
 
@@ -181,16 +184,14 @@ def validate_graph(g):
         raise GraphError("non-finite feature values")
 
 
-def stratified_split(labels, fractions=(0.6, 0.2, 0.2), rng=None):
-    """Per-class shuffled split into train/val/test boolean masks."""
-    rng = rng or np.random.default_rng(0)
+def stratified_split(labels, rng):
+    """Per-class masks by rng: int(0.6 k) of a class's k nodes train, int(0.2 k) val, the rest test."""
     n = len(labels)
     train, val, test = (np.zeros(n, dtype=bool) for _ in range(3))
     for c in np.unique(labels):
         ids = np.flatnonzero(labels == c)
         ids = ids[rng.permutation(len(ids))]
-        n_tr = int(fractions[0] * len(ids))
-        n_va = int(fractions[1] * len(ids))
+        n_tr, n_va = int(0.6 * len(ids)), int(0.2 * len(ids))
         train[ids[:n_tr]] = True
         val[ids[n_tr:n_tr + n_va]] = True
         test[ids[n_tr + n_va:]] = True
@@ -215,8 +216,8 @@ class NoiseSpec:
 # ---------------------------------------------------------------------------
 # loading / saving
 
-def load_graph(path, fmt="json", features_path=None, labels_path=None, split_seed=0):
-    """Load a graph from disk.
+def load_graph(path, fmt="json", features_path=None, labels_path=None):
+    """Load a graph from disk; one without masks gets build_graph's seed-0 split.
 
     fmt="json": single file with keys n, edges, features, labels and
     optional masks. fmt="edge-list+features": whitespace edge pairs in
@@ -238,7 +239,7 @@ def load_graph(path, fmt="json", features_path=None, labels_path=None, split_see
             # attribute-free graph: fall back to one-hot identity features
             features = np.eye(_node_count(blob["n"]))
         return build_graph(blob["n"], blob["edges"], features, blob["labels"],
-                           masks=blob.get("masks"), split_seed=split_seed)
+                           masks=blob.get("masks"))
     if fmt == "edge-list+features":
         if labels_path is None:
             raise GraphError("edge-list format needs labels_path")
@@ -254,7 +255,7 @@ def load_graph(path, fmt="json", features_path=None, labels_path=None, split_see
                 raise GraphError(f"{features_path}: {len(features)} feature rows "
                                  f"but {len(labels)} labels")
         edges = _read_table(path, np.int64, usecols=(0, 1))
-        return build_graph(len(labels), edges, features, labels, split_seed=split_seed)
+        return build_graph(len(labels), edges, features, labels)
     raise GraphError(f"unknown graph format {fmt!r}")
 
 
@@ -340,7 +341,7 @@ def generate_planted_partition(n, classes, p_in, p_out, dim, signal_strength, se
     means[np.arange(classes), np.arange(classes)] = float(signal_strength)
     features = means[labels] + rng.standard_normal((n, dim))
 
-    train, val, test = stratified_split(labels, rng=rng)
+    train, val, test = stratified_split(labels, rng)
     return build_graph(n, edges, features, labels,
                        masks={"train": train, "val": val, "test": test})
 

@@ -11,11 +11,12 @@ the ReLU's derivative mask.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import read_json, write_json
+from .graph import read_json, reject_coerced, write_json
 
 HEADS = ("linear", "sigmoid")
 
@@ -32,13 +33,13 @@ def sigmoid(z):
     return np.minimum(np.maximum(out, _SIGMOID_FLOOR), 1.0 - _SIGMOID_FLOOR)
 
 
-def softmax(logits, axis=-1):
-    """Max-shifted softmax; rows sum to 1 and stay strictly positive."""
+def softmax(logits):
+    """Max-shifted softmax over the last axis; rows sum to 1 and stay strictly positive."""
     z = np.asarray(logits, dtype=np.float64)
-    z = z - z.max(axis=axis, keepdims=True)
+    z = z - z.max(axis=-1, keepdims=True)
     # z <= 0 or NaN after the shift; exp(-700) is still a normal float64 (no underflow to 0)
     e = np.exp(np.maximum(z, -700.0))
-    return e / e.sum(axis=axis, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def glorot(rows, cols, rng):
@@ -154,32 +155,26 @@ def mlp_backward(params, cache, upstream):
 class AdamState:
     """Adaptive-moment accumulators for a list of parameter matrices."""
 
-    lr: float = 1e-3
+    lr: float
     step: int = 0
     m: list = field(default_factory=list)
     v: list = field(default_factory=list)
 
     def copy(self):
-        """A snapshot that shares the moment arrays: adam_step rebinds each
-        entry to a fresh array and never writes into one."""
+        """A snapshot sharing the moment arrays, which adam_step rebinds and never writes."""
         return AdamState(self.lr, self.step, list(self.m), list(self.v))
 
 
-def adam_init(params, lr=1e-3):
+def adam_init(params, lr):
     return AdamState(lr=lr, m=[np.zeros_like(p) for p in params],
                      v=[np.zeros_like(p) for p in params])
 
 
-def adam_step(state, params, grads, direction="minimize"):
-    """One adaptive-moment update; returns the new parameter list.
-
-    direction="maximize" negates the gradients (gradient ascent).
-    """
-    if direction not in ("minimize", "maximize"):
-        raise ValueError(f"unknown direction {direction!r}")
+def adam_step(state, params, grads):
+    """One adaptive-moment step down a loss whose gradients are `grads`;
+    returns the new parameter list."""
     if len(params) != len(state.m) or len(params) != len(grads):
         raise ValueError("parameter/gradient/state length mismatch")
-    sign = -1.0 if direction == "maximize" else 1.0
     state.step += 1
     t = state.step
     out = []
@@ -187,7 +182,6 @@ def adam_step(state, params, grads, direction="minimize"):
         g = np.asarray(g, dtype=np.float64)
         if g.shape != p.shape or state.m[i].shape != p.shape:
             raise ValueError(f"shape mismatch at parameter {i}: {p.shape} vs {g.shape}")
-        g = sign * g
         state.m[i] = ADAM_BETA1 * state.m[i] + (1.0 - ADAM_BETA1) * g
         state.v[i] = ADAM_BETA2 * state.v[i] + (1.0 - ADAM_BETA2) * g * g
         mhat = state.m[i] / (1.0 - ADAM_BETA1 ** t)
@@ -222,7 +216,7 @@ def save_arrays(path, named_arrays, extra=None):
 
 
 def load_arrays(path):
-    """Inverse of save_arrays. Returns (dict name -> array, extra dict)."""
+    """Inverse of save_arrays: (name -> array dict, extra dict); a bad array is a ValueError."""
     blob = read_json(path)
     if not isinstance(blob, dict):
         raise ValueError(f"checkpoint must hold a JSON object, got {type(blob).__name__}")
@@ -234,7 +228,16 @@ def load_arrays(path):
     for name, entry in blob["arrays"].items():
         if not isinstance(entry, dict) or not {"shape", "data"} <= entry.keys():
             raise ValueError(f"checkpoint array {name!r} needs 'shape' and 'data'")
-        arr = np.array(entry["data"], dtype=np.float64).reshape(entry["shape"])
+        shape, data = entry["shape"], entry["data"]
+        what = (f"checkpoint array {name!r} needs a shape of non-negative integers and flat "
+                "data of as many numbers")
+        if not isinstance(shape, list) or not isinstance(data, list):
+            raise ValueError(f"{what}, got {type(shape).__name__} and {type(data).__name__}")
+        reject_coerced(shape, numbers.Integral, what)
+        reject_coerced(data, numbers.Real, what)
+        if min(shape, default=0) < 0 or len(data) != math.prod(shape):
+            raise ValueError(f"{what}, got shape {shape} and {len(data)} numbers")
+        arr = np.array(data, dtype=np.float64).reshape(shape)
         if not np.isfinite(arr).all():
             raise ValueError(f"array {name!r} contains non-finite values")
         out[name] = arr

@@ -34,8 +34,7 @@ class PolicyParams:
         return self.mlp.in_dim
 
 
-def init_policy(state_dim, hidden=(64, 36), rng=None):
-    rng = rng or np.random.default_rng(0)
+def init_policy(state_dim, hidden, rng):
     sizes = [int(state_dim)] + [int(h) for h in hidden] + [1]
     return PolicyParams(nn.init_mlp(sizes, rng))
 
@@ -125,12 +124,12 @@ class PPOConfig:
 
 
 def surrogate_and_grads(policy, states, actions, behavior_logp, returns, p_old, kl_coeff):
-    """Importance-weighted return objective with a KL penalty, plus its gradient.
+    """The PPO loss, a KL penalty minus the importance-weighted return, and its gradient.
 
-    objective = mean(ratio * return) - kl_coeff * mean(KL(p_old || p_new)),
+    loss = kl_coeff * mean(KL(p_old || p_new)) - mean(ratio * return),
     where ratio = pi(a|s) / q(a|s) against the stored behavior log-probs.
-    Returns (objective value, gradient list aligned with policy weights);
-    gradients point uphill (caller maximizes).
+    Returns (loss value, gradient list aligned with policy weights), for a
+    caller that descends the loss.
     """
     states = np.asarray(states, dtype=np.float64)
     actions = np.asarray(actions, dtype=np.float64)
@@ -144,30 +143,30 @@ def surrogate_and_grads(policy, states, actions, behavior_logp, returns, p_old, 
     logp = np.where(actions == 1.0, np.log(p), np.log(1.0 - p))
     ratio = np.exp(logp - behavior_logp)
     kl = kl_bernoulli(p_old, p)
-    objective = float(np.mean(ratio * returns) - kl_coeff * np.mean(kl))
-    if not math.isfinite(objective):
-        raise ValueError("non-finite PPO objective")
+    loss = float(kl_coeff * np.mean(kl) - np.mean(ratio * returns))
+    if not math.isfinite(loss):
+        raise ValueError("non-finite PPO loss")
 
-    # d objective / d score, per sample: the ratio term contributes
-    # ratio * return * (a - p); the KL penalty contributes -(p - p_old).
-    dscore = (ratio * returns * (actions - p) - kl_coeff * (p - p_old)) / m
+    # d loss / d score, per sample: the KL penalty contributes p - p_old;
+    # the ratio term contributes -ratio * return * (a - p).
+    dscore = (kl_coeff * (p - p_old) - ratio * returns * (actions - p)) / m
     grads = nn.mlp_backward_batch(policy.mlp, cache, dscore[:, None])
-    return objective, grads
+    return loss, grads
 
 
-def ppo_update(policy, trajectories, *, cfg, rng=None):
+def ppo_update(policy, trajectories, *, cfg, rng):
     """One trust-region policy improvement round over a trajectory batch.
 
-    Returns are discounted per trajectory and then mean/std-normalized
-    across the batch. After each update epoch the mean KL(policy || new)
-    over all batch states is checked: above 1.5 * delta the epoch is rolled
-    back, the penalty coefficient doubles and the epoch is retried once;
-    a retry that still violates the threshold is rolled back for good.
-    An Adam second moment that overflowed in the round is a ValueError.
-    Returns (new PolicyParams, diagnostics dict); the new holder may share
-    weight arrays with `policy`, whose arrays are never written.
+    Returns are discounted per trajectory and then mean/std-normalized across
+    the batch; Adam descends surrogate_and_grads' loss over minibatches drawn
+    from rng. After each epoch the mean KL(policy || new) over all batch
+    states is checked: above 1.5 * delta the epoch is rolled back, the penalty
+    coefficient doubles and the epoch is retried once; a retry that still
+    violates the threshold is rolled back for good. An Adam second moment
+    that overflowed in the round is a ValueError. Returns (new PolicyParams,
+    diagnostics dict, whose objective is minus the final loss); the new holder
+    may share weight arrays with `policy`, whose arrays are never written.
     """
-    rng = rng or np.random.default_rng(0)
     batch = [t for traj in trajectories for t in traj.transitions]
     if not batch:
         raise ValueError("ppo_update needs at least one non-empty trajectory")
@@ -203,19 +202,17 @@ def ppo_update(policy, trajectories, *, cfg, rng=None):
                     _, grads = surrogate_and_grads(work, states[rows], actions[rows],
                                                    logq[rows], norm_returns[rows],
                                                    p_old[rows], beta)
-                    work.mlp.weights = nn.adam_step(opt, work.mlp.weights, grads,
-                                                    direction="maximize")
+                    work.mlp.weights = nn.adam_step(opt, work.mlp.weights, grads)
                 if not mean_kl() > 1.5 * cfg.delta:
                     break
             else:  # the retry still left the trust region: reject the epoch
                 work.mlp.weights, opt = snap_weights, snap_opt
     nn.check_second_moments(opt, "PPO round")
 
-    objective, _ = surrogate_and_grads(work, states, actions, logq,
-                                       norm_returns, p_old, beta)
+    loss, _ = surrogate_and_grads(work, states, actions, logq, norm_returns, p_old, beta)
     diagnostics = {
         "mean_kl": mean_kl(),
-        "objective": objective,
+        "objective": -loss,
         "kl_coeff": beta,
         "mean_return": float(raw_returns.mean()),
         "num_transitions": int(m),

@@ -65,7 +65,7 @@ def embed_means(agg, means):
 
 
 def classify_batch(clf, H):
-    return nn.softmax(np.asarray(H, dtype=np.float64) @ clf.V.T, axis=1)
+    return nn.softmax(np.asarray(H, dtype=np.float64) @ clf.V.T)
 
 
 def f_c_score(clf, agg, x_v, x_u, true_label):
@@ -135,7 +135,7 @@ def node_mean_vectors(graph, node_ids, kept):
     return total / (counts + 1)[:, None]
 
 
-def train_representation(agg, clf, means, labels, epochs, batch_size=256, lr=1e-3, rng=None):
+def train_representation(agg, clf, means, labels, epochs, batch_size, lr, rng):
     """Fit aggregator + classifier on (m, D) mean vectors and their m labels.
 
     Returns (new agg, new clf, per-epoch mean loss history). The new holders
@@ -144,7 +144,6 @@ def train_representation(agg, clf, means, labels, epochs, batch_size=256, lr=1e-
     agg.feature_dim, a label outside the classes or an Adam second moment
     that overflowed during the fit is a ValueError.
     """
-    rng = rng or np.random.default_rng(0)
     if means.ndim != 2 or means.shape[0] == 0:
         raise ValueError(f"means must be a non-empty (m, D) batch, got shape {means.shape}")
     if labels.shape != means.shape[:1]:

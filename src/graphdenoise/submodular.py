@@ -65,11 +65,11 @@ class CoverageFunction(SetFunction):
         return sum(self.weights[e] for e in covered)
 
     @classmethod
-    def random(cls, rng, n_items, universe_size, k_max, density=0.35):
-        """Random monotone submodular instance for bound tests."""
+    def random(cls, rng, n_items, universe_size, k_max):
+        """Random monotone submodular instance; items cover elements with probability 0.35."""
         covers = {}
         for i in range(n_items):
-            mask = rng.random(universe_size) < density
+            mask = rng.random(universe_size) < 0.35
             if not mask.any():
                 mask[rng.integers(universe_size)] = True
             covers[i] = frozenset(np.flatnonzero(mask).tolist())
@@ -110,8 +110,8 @@ class SelectionRewardFunction(SetFunction):
             raise ValueError(f"item {item} already selected")
         return env.marginal_rewards([self.values[u] for u in subset] + [self.values[item]])[-1]
 
-    def order_spread(self, subset, rng, permutations=20):
-        """Max minus min accumulated reward over sampled insertion orders.
+    def order_spread(self, subset, rng):
+        """Max minus min accumulated reward over the canonical order and 20 drawn from rng.
 
         Reported, not assumed: quantifies how far the canonical-order value
         is from being insertion-order independent on this subset.
@@ -120,7 +120,7 @@ class SelectionRewardFunction(SetFunction):
         if len(items) < 2:
             return 0.0
         vals = [self.order_value(items)]
-        for _ in range(permutations):
+        for _ in range(20):
             perm = [items[i] for i in rng.permutation(len(items))]
             vals.append(self.order_value(perm))
         return float(max(vals) - min(vals))

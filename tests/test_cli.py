@@ -301,6 +301,12 @@ def test_config_shape_is_validation_error(tmp_path, capsys, overrides, named):
     ({"features": [[True], [0.0], [1.0]]}, "table of numbers, got True"),
     ({"edges": [[0, True], [1, 2]]}, "integer node ids, got True"),
     ({"labels": [0, True, 1]}, "integer class ids, got True"),
+    ({"masks": {"train": ["no", 0, 0], "val": [False] * 3, "test": [False] * 3}},
+     "train mask must hold booleans, got 'no'"),
+    ({"masks": {"train": [False] * 3, "val": [1, 0, 0], "test": [False] * 3}},
+     "val mask must hold booleans, got 1"),
+    ({"masks": {"train": [False] * 3, "val": [False] * 3, "test": [0.5, 0, 0]}},
+     "test mask must hold booleans, got 0.5"),
 ])
 def test_malformed_graph_json_is_validation_error(tmp_path, capsys, change, named):
     blob = {"n": 3, "edges": [[0, 1], [1, 2]], "features": [[1.0], [0.0], [1.0]],
@@ -390,6 +396,35 @@ def test_malformed_checkpoint_is_validation_error(tmp_path, capsys, change, name
     assert run(["eval", "--graph", str(graph), "--checkpoint", str(ckpt),
                 "--out-dir", str(tmp_path / "out")]) == 1
     assert named in capsys.readouterr().err
+
+
+def _agg_w(shape, data):
+    """A change that replaces agg.W's shape and data (a checkpoint of embed 4, dim 6)."""
+    return _edit(lambda blob: blob["arrays"]["agg.W"].update(shape=shape, data=data))
+
+
+@pytest.mark.parametrize("change, named", [
+    (_agg_w([4, 6], ["1.5"] + [0.0] * 23), "got '1.5'"),
+    (_agg_w([4, 6], [True] + [0.0] * 23), "got True"),
+    (_agg_w([4, 6], [None] + [0.0] * 23), "got None"),
+    (_agg_w([4, 6], [[0.0] * 6] * 4), "got [0.0, 0.0"),
+    (_agg_w([4, 6], {"a": 1}), "got list and dict"),
+    (_agg_w(24, [0.0] * 24), "got int and list"),
+    (_agg_w([4, 6], [0.0] * 23), "got shape [4, 6] and 23 numbers"),
+    (_agg_w([-1, 6], [0.0] * 24), "got shape [-1, 6] and 24 numbers"),
+    (_agg_w(["4", 6], [0.0] * 24), "got '4'"),
+    (_agg_w([4.0, 6], [0.0] * 24), "got 4.0"),
+    (_agg_w([True, 6], [0.0] * 24), "got True"),
+], ids=["string-entry", "bool-entry", "null-entry", "nested-data", "data-object", "shape-int",
+        "one-short", "negative-size", "string-size", "float-size", "bool-size"])
+def test_malformed_checkpoint_array_is_validation_error(tmp_path, capsys, change, named):
+    graph, ckpt = _init_checkpoint(tmp_path, "g", classes=2, dim=6)
+    ckpt.write_text(json.dumps(change(json.loads(ckpt.read_text()))))
+    assert run(["eval", "--graph", str(graph), "--checkpoint", str(ckpt),
+                "--out-dir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "checkpoint array 'agg.W' needs a shape of non-negative integers" in err
+    assert named in err
 
 
 def test_config_is_a_train_only_option():

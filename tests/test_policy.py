@@ -252,7 +252,8 @@ def test_ppo_adam_overflow_is_named_before_any_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="PPO round: Adam second moment overflowed"):
-            ppo_update(policy, batch, cfg=PPOConfig(update_epochs=2, minibatch_size=32))
+            ppo_update(policy, batch, cfg=PPOConfig(update_epochs=2, minibatch_size=32),
+                       rng=np.random.default_rng(0))
 
 
 def test_surrogate_gradient_matches_finite_differences():

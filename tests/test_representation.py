@@ -205,7 +205,8 @@ def test_train_representation_learns_separable_data():
     clf = rep.init_classifier(3, 8, rng)
     means, labels = _train_means(g)
     agg, clf, losses = rep.train_representation(agg, clf, means, labels, epochs=100,
-                                                lr=1e-2, rng=np.random.default_rng(2))
+                                                batch_size=256, lr=1e-2,
+                                                rng=np.random.default_rng(2))
     preds = np.argmax(rep.classify_batch(clf, rep.embed_means(agg, means)), axis=1)
     assert rep.micro_f1(preds, labels) > 0.95
     assert losses[-1] < losses[0]
@@ -216,7 +217,9 @@ def test_train_representation_zero_epochs_is_identity():
     rng = np.random.default_rng(0)
     agg = rep.init_aggregator(4, 4, rng)
     clf = rep.init_classifier(2, 4, rng)
-    agg2, clf2, losses = rep.train_representation(agg, clf, *_train_means(g), epochs=0)
+    agg2, clf2, losses = rep.train_representation(agg, clf, *_train_means(g), epochs=0,
+                                                  batch_size=256, lr=1e-3,
+                                                  rng=np.random.default_rng(1))
     assert losses == []
     assert np.array_equal(agg2.W, agg.W)
     assert np.array_equal(clf2.V, clf.V)
@@ -245,6 +248,7 @@ def test_train_representation_loss_decreases_over_first_epochs():
         agg = rep.init_aggregator(6, 4, rng)
         clf = rep.init_classifier(2, 6, rng)
         _, _, losses = rep.train_representation(agg, clf, *_train_means(g), epochs=10,
+                                                batch_size=256, lr=1e-3,
                                                 rng=np.random.default_rng(seed))
         assert np.isfinite(losses).all()
         curves.append(losses)
@@ -279,7 +283,8 @@ def test_train_representation_rejects_bad_batches(means, labels, named):
     agg = rep.init_aggregator(2, 3, rng)
     clf = rep.init_classifier(2, 2, rng)
     with pytest.raises(ValueError, match=re.escape(named)):
-        rep.train_representation(agg, clf, means, labels, epochs=1)
+        rep.train_representation(agg, clf, means, labels, epochs=1, batch_size=256, lr=1e-3,
+                                 rng=np.random.default_rng(1))
 
 
 def test_prediction_loss_grads_match_finite_differences():

@@ -1,5 +1,10 @@
+import ast
+import json
 import math
+import os
+import pathlib
 import re
+import tempfile
 import warnings
 from unittest import mock
 
@@ -12,7 +17,7 @@ from graphdenoise import env
 from graphdenoise import policy as policy_mod
 from graphdenoise import representation as rep
 from graphdenoise import trainer
-from graphdenoise.graph import build_graph, generate_planted_partition
+from graphdenoise.graph import build_graph, generate_planted_partition, load_graph
 from graphdenoise.policy import PPOConfig
 from graphdenoise.trainer import TrainConfig
 
@@ -394,3 +399,87 @@ def test_greedy_select_stops_at_first_reject_with_reference_result(seed, n, dens
             kept = trainer.greedy_select(g, v, policy, agg)
         assert kept == reject_walking_greedy_select(g, v, policy, agg)
         assert len(calls) <= len(kept) + 1
+
+
+# what a degenerate input may raise: each a ValueError that names its problem
+_NAMED_PROBLEMS = ("graph has no training nodes", "evaluation mask is empty",
+                   "Adam second moment overflowed")
+
+
+@st.composite
+def degenerate_graph_json(draw):
+    """Graph JSON with isolated (or only isolated) nodes, one or non-contiguous
+    classes, empty masks or none, and random, all-zero, huge or no features."""
+    n = draw(st.integers(1, 12))
+    classes = sorted(draw(st.sets(st.integers(0, 6), min_size=1, max_size=3)))
+    blob = {"n": n, "labels": draw(st.lists(st.sampled_from(classes), min_size=n, max_size=n))}
+    pairs = st.lists(st.integers(0, n - 1), min_size=2, max_size=2)
+    all_isolated = draw(st.integers(0, 3)) == 0
+    blob["edges"] = [] if all_isolated else draw(st.lists(pairs, min_size=1, max_size=3 * n))
+    features = draw(st.sampled_from(["random", "zero", "huge", "absent"]))
+    if features != "absent":
+        values = np.random.default_rng(draw(st.integers(0, 99))).standard_normal((n, 3))
+        blob["features"] = (values * {"random": 1.0, "zero": 0.0, "huge": 1e300}[features]).tolist()
+    split = draw(st.none() | st.lists(st.sampled_from(["train", "train", "val", "test", None]),
+                                      min_size=n, max_size=n))
+    if split is not None:
+        blob["masks"] = {k: [s == k for s in split] for k in ("train", "val", "test")}
+    return blob
+
+
+@settings(max_examples=80, deadline=None)
+@given(blob=degenerate_graph_json(), select_all=st.booleans(), iters=st.integers(1, 2),
+       seed=st.integers(0, 2**16))
+def test_degenerate_inputs_run_end_to_end_or_name_the_problem(blob, select_all, iters, seed):
+    def attempt(fn, *args):
+        try:
+            return fn(*args)
+        except ValueError as exc:  # a GraphError is a ValueError
+            assert any(problem in str(exc) for problem in _NAMED_PROBLEMS), exc
+            return None
+
+    cfg = TrainConfig(outer_iters=iters, rep_epochs=2, batch_size=4, embed_dim=3,
+                      policy_hidden=(4,), ppo=PPOConfig(update_epochs=1, minibatch_size=4),
+                      select_all=select_all, seed=seed)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "graph.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(blob, fh)
+        g = load_graph(path)
+        result = attempt(trainer.train, g, cfg)
+        if result is None:
+            return
+        for selection in trainer.SELECTION_MODES:
+            for mask in ("val", "test"):
+                f1 = attempt(trainer.evaluate, result.policy, result.agg, result.clf, g, mask,
+                             selection)
+                assert f1 is None or 0.0 <= f1 <= 1.0
+            denoised = trainer.export_denoised_graph(result.policy, result.agg, g,
+                                                     os.path.join(tmp, "edges.txt"), selection)
+            assert denoised.edge_set() <= g.edge_set()
+            report = trainer.selection_report(result.policy, result.agg, g, selection)
+            assert ((report.fractions >= 0.0) & (report.fractions <= 1.0)).all()
+            assert report.histogram.sum() == report.node_ids.size == np.count_nonzero(
+                np.diff(g.indptr))
+
+
+def test_no_library_function_hides_a_seed():
+    # every random stream comes from the caller: no literal seed, no `rng or ...`
+    # fallback and no rng parameter with a default
+    found = []
+    for path in sorted(pathlib.Path(trainer.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            where = f"{path.name}:{getattr(node, 'lineno', 0)}"
+            if (isinstance(node, ast.Call)
+                    and getattr(node.func, "attr", getattr(node.func, "id", None)) == "default_rng"
+                    and any(isinstance(arg, ast.Constant) for arg in node.args)):
+                found.append(f"{where} default_rng(<literal>)")
+            if (isinstance(node, ast.BoolOp) and isinstance(node.op, ast.Or)
+                    and isinstance(node.values[0], ast.Name) and "rng" in node.values[0].id):
+                found.append(f"{where} {node.values[0].id} or ...")
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = node.args.posonlyargs + node.args.args
+                defaulted = args[len(args) - len(node.args.defaults):] + [
+                    a for a, d in zip(node.args.kwonlyargs, node.args.kw_defaults) if d]
+                found += [f"{where} {a.arg}=..." for a in defaulted if "rng" in a.arg]
+    assert found == []
