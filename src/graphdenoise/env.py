@@ -3,8 +3,9 @@
 One episode walks a single node's one-hop neighborhood, held in an
 EpisodeState of states [h_v, h_u] (width state_dim), where h_v embeds the mean
 of a running feature total (representation's one mean). At each step the pending
-candidates (plus a synthetic ending candidate) are scored, one is taken, and
-the policy accepts or rejects it. Both walkers live here: rollout
+candidates (plus a synthetic ending candidate), whose rows sit compacted at the
+front of the table, are scored in place, one is taken, and the policy accepts or
+rejects it by the sigmoid of its score. Both walkers live here: rollout
 softmax-samples the order for training and records decisions only,
 greedy_select decodes any node in priority order. pay_rewards then pays each
 accept the marginal-value reward (marginal_rewards): its per-neighbor task
@@ -68,22 +69,21 @@ class EpisodeState:
     selected: list  # accepted neighbor ids, in acceptance order
     total: np.ndarray  # the target's features plus each accepted neighbor's, in that order
     candidates: list  # not-yet-decided candidate ids; END is last
-    rows: list  # table row of each pending candidate
-    table: np.ndarray  # state [h_v, h_u] per neighbor, then END's [h_v, 0]
+    table: np.ndarray  # row i: candidates[i]'s state [h_v, h_u] (END's [h_v, 0]); taken rows trail
 
     def candidate_scores(self, policy):
-        """Priority score, accept probability (the score's sigmoid) and state
-        row [h_v, h_u] of every pending candidate, so candidate ordering and
-        the accept/reject decision share every weight of the policy stack."""
-        states = self.table[self.rows]
+        """Priority score and state row [h_v, h_u] (a view the next take overwrites) of
+        every pending candidate; the accept probability is the score's sigmoid, so
+        ordering and the accept/reject decision share every weight of the policy."""
+        states = self.table[:len(self.candidates)]
         scores = policy_mod.policy_scores_batch(policy, states)
         if not np.isfinite(scores).all():
             raise ValueError("non-finite candidate score")
-        return scores, nn.sigmoid(scores), states
+        return scores, states
 
     def take(self, i):
-        """Remove pending candidate i from the episode and return its id."""
-        del self.rows[i]
+        """Remove pending candidate i, shifting the rows below its row up one; returns its id."""
+        self.table[i:len(self.candidates) - 1] = self.table[i + 1:len(self.candidates)]
         return self.candidates.pop(i)
 
     def accept(self, graph, agg, u):
@@ -104,8 +104,7 @@ def init_episode(graph, v, agg):
     table[:-1, agg.embed_dim:] = rep.embed_means(agg, graph.features[neighbors])
     table[:, :agg.embed_dim] = rep.embed_means(agg, graph.features[v][None])[0]
     return EpisodeState(selected=[], total=graph.features[v].copy(),
-                        candidates=neighbors.tolist() + [END],
-                        rows=list(range(neighbors.size + 1)), table=table)
+                        candidates=neighbors.tolist() + [END], table=table)
 
 
 def rollout(graph, v, policy, agg, rng):
@@ -119,17 +118,18 @@ def rollout(graph, v, policy, agg, rng):
     transitions = []
     terminated = TERMINATED_EXHAUSTED
     while len(state.candidates) > 1:
-        scores, probs, states = state.candidate_scores(policy)
+        scores, states = state.candidate_scores(policy)
         cdf = nn.softmax(scores).cumsum()  # rng.choice(p=softmax)'s draw, without its checks
         i = int((cdf / cdf[-1]).searchsorted(rng.random(), side="right"))
+        row = states[i].copy()
         u = state.take(i)
         if u == END:
             terminated = TERMINATED_ENDING
             break
-        action, log_prob = policy_mod.sample_action(probs[i], rng)
+        action, log_prob = policy_mod.sample_action(nn.sigmoid(scores[i]), rng)
         if action == 1:
             state.accept(graph, agg, u)
-        transitions.append(Transition(state=states[i].copy(), action=action, reward=0.0,
+        transitions.append(Transition(state=row, action=action, reward=0.0,
                                       log_prob=log_prob, candidate=u))
     return Trajectory(target=int(v), transitions=transitions, terminated_by=terminated)
 
@@ -145,10 +145,10 @@ def greedy_select(graph, v, policy, agg):
     """
     state = init_episode(graph, v, agg)
     while len(state.candidates) > 1:
-        scores, probs, _ = state.candidate_scores(policy)
+        scores, _ = state.candidate_scores(policy)
         i = int(np.argmax(scores))
         u = state.take(i)
-        if u == END or probs[i] < 0.5:
+        if u == END or nn.sigmoid(scores[i]) < 0.5:
             break
         state.accept(graph, agg, u)
     return state.selected

@@ -98,6 +98,19 @@ def reject_coerced(values, number, message, rows=False):
     return values
 
 
+def float_array(values, message):
+    """values as a float64 array; ragged rows, or an integer past float64's range (named:
+    the largest, as numpy's OverflowError names none), are a GraphError."""
+    try:
+        return np.asarray(values, dtype=np.float64)
+    except OverflowError:
+        flat = np.asarray(values, dtype=object).ravel()  # JSON floats past the range parse as inf
+        big = max(flat, key=lambda x: abs(x) if isinstance(x, int) else 0)
+        raise GraphError(f"{message}, got {big!r}") from None
+    except (TypeError, ValueError) as exc:
+        raise GraphError(f"{message} ({exc})") from exc
+
+
 def build_graph(num_nodes, edges, features, labels, masks=None, split_seed=0):
     """Assemble and validate a Graph.
 
@@ -111,10 +124,7 @@ def build_graph(num_nodes, edges, features, labels, masks=None, split_seed=0):
                     rows=True)
     reject_coerced(labels, numbers.Integral, f"labels must be ({n},) integer class ids")
     reject_coerced(edges, numbers.Integral, "edges must be rows of integer node ids", rows=True)
-    try:
-        features = np.asarray(features, dtype=np.float64)
-    except (TypeError, ValueError) as exc:  # ragged rows
-        raise GraphError(f"features must be a rectangular table of numbers ({exc})") from exc
+    features = float_array(features, "features must be a rectangular table of numbers")
     if features.ndim != 2 or features.shape[0] != n:
         raise GraphError(f"features must be ({n}, D), got {features.shape}")
     labels = np.asarray(labels)
@@ -274,8 +284,8 @@ def save_graph_json(g, path):
     """Serialize to the json format accepted by load_graph; deterministic bytes."""
     write_json(path, {
         "n": g.num_nodes,
-        "edges": [[u, v] for u, v in g.edge_list()],
-        "features": [row.tolist() for row in g.features],
+        "edges": g.edge_list(),
+        "features": g.features,
         "labels": g.labels.tolist(),
         "masks": {
             "train": g.train_mask.tolist(),
@@ -286,10 +296,22 @@ def save_graph_json(g, path):
 
 
 def write_json(path, obj):
-    """Write obj as compact JSON and a newline, streamed to the file."""
+    """Write the dict obj as compact JSON and a newline through the C encoder
+    (json.dump streams through the pure-Python one). A 2-D array value is written
+    as nested lists a block of rows at a time, never as one whole list or string."""
+    encode, block = json.JSONEncoder(separators=(",", ":")).encode, 256
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, separators=(",", ":"))
-        fh.write("\n")
+        fh.write("{")
+        for k, (key, value) in enumerate(obj.items()):
+            fh.write("," if k else "")
+            if not (isinstance(value, np.ndarray) and value.ndim == 2):
+                fh.write(encode({key: value})[1:-1])  # '"key":value', keys coerced as json does
+                continue
+            fh.write(encode({key: []})[1:-2])  # '"key":['
+            for i in range(0, len(value), block):
+                fh.write(("," if i else "") + encode(value[i:i + block].tolist())[1:-1])
+            fh.write("]")
+        fh.write("}\n")
 
 
 def read_json(path):

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import read_json, reject_coerced, write_json
+from .graph import float_array, read_json, reject_coerced, write_json
 
 HEADS = ("linear", "sigmoid")
 
@@ -27,6 +27,9 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # moment decay rates, denom
 
 def sigmoid(z):
     """Numerically stable logistic function, strictly inside (0, 1)."""
+    if isinstance(z, float):  # numpy's exp, then float arithmetic: the array path's bits, a float
+        ez = float(np.exp(-abs(z)))
+        return min(max((1.0 if z >= 0 else ez) / (1.0 + ez), _SIGMOID_FLOOR), 1.0 - _SIGMOID_FLOOR)
     z = np.asarray(z, dtype=np.float64)
     ez = np.exp(-np.abs(z))  # never overflows: 1 / (1 + e^-z) for z >= 0, e^z / (1 + e^z) below
     out = np.where(z >= 0, 1.0, ez) / (1.0 + ez)
@@ -237,7 +240,7 @@ def load_arrays(path):
         reject_coerced(data, numbers.Real, what)
         if min(shape, default=0) < 0 or len(data) != math.prod(shape):
             raise ValueError(f"{what}, got shape {shape} and {len(data)} numbers")
-        arr = np.array(data, dtype=np.float64).reshape(shape)
+        arr = float_array(data, f"checkpoint array {name!r} needs float64 numbers").reshape(shape)
         if not np.isfinite(arr).all():
             raise ValueError(f"array {name!r} contains non-finite values")
         out[name] = arr

@@ -318,6 +318,15 @@ def test_malformed_graph_json_is_validation_error(tmp_path, capsys, change, name
     assert named in capsys.readouterr().err
 
 
+def test_feature_integer_past_float64_range_is_validation_error(tmp_path, capsys):
+    # numpy's OverflowError used to reach the CLI as a runtime failure (exit 2)
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps({"n": 3, "edges": [[0, 1], [1, 2]],
+                                "features": [[10**400], [0.0], [1.0]], "labels": [0, 1, 1]}))
+    assert run(["noise", "--graph", str(path), "--out-dir", str(tmp_path / "out")]) == 1
+    assert f"table of numbers, got {10**400}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("text", ["5", "null", "[1, 2]", '"graph"'])
 def test_graph_json_that_is_no_object_is_validation_error(tmp_path, capsys, text):
     path = tmp_path / "graph.json"
@@ -386,9 +395,11 @@ def _matrix(name, rows, cols):
     (_edit(lambda blob: blob["arrays"]["agg.W"].pop("data")),
      "checkpoint array 'agg.W' needs 'shape' and 'data'"),
     (lambda blob: json.dumps(blob)[:19] + "\n", "checkpoint.json: Invalid control character"),
+    (_edit(lambda blob: blob["arrays"]["agg.W"]["data"].__setitem__(0, 10**400)),
+     f"'agg.W' needs float64 numbers, got {10**400}"),
 ], ids=["no-arrays", "no-agg", "no-clf", "no-policy", "tanh", "config-tanh",
         "clf-width", "policy-width", "not-object", "extra-list", "config-list", "no-data",
-        "truncated"])
+        "truncated", "past-float64"])
 def test_malformed_checkpoint_is_validation_error(tmp_path, capsys, change, named):
     graph, ckpt = _init_checkpoint(tmp_path, "g", classes=2, dim=6)
     changed = change(json.loads(ckpt.read_text()))  # a str is written as it is

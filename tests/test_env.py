@@ -56,11 +56,13 @@ def batch_embedding(g, agg, v, selected):
 
 
 def test_init_embedding_is_self_only_aggregate():
-    g, agg, _, _ = make_setup()
+    g, agg, _, policy = make_setup()
     state = env.init_episode(g, 5, agg)
     # one state row [h_v, h_u] per candidate, END's last, in candidate order
     assert state.table.shape == (len(state.candidates), 12)
-    assert state.rows == list(range(len(state.candidates)))
+    # every row is pending, so the scored rows are the whole table, in place
+    _, states = state.candidate_scores(policy)
+    assert states.shape == state.table.shape and np.shares_memory(states, state.table)
     assert np.array_equal(state.total, g.features[5])
     for h_v in state.table[:, :6]:
         assert np.allclose(h_v, self_embedding(agg, g.features[5]))
@@ -93,9 +95,9 @@ def test_regret_scores_zero_weights_are_zero_and_softmax_uniform():
     g, agg, _, _ = make_setup()
     policy = policy_mod.PolicyParams(nn.MlpParams([np.zeros((4, 12)), np.zeros((1, 4))]))
     state = env.init_episode(g, 0, agg)
-    scores, probs, _ = state.candidate_scores(policy)
+    scores, _ = state.candidate_scores(policy)
     assert np.all(scores == 0.0)
-    assert np.all(probs == 0.5)
+    assert all(nn.sigmoid(s) == 0.5 for s in scores)
     assert np.allclose(nn.softmax(scores), 1.0 / len(state.candidates))
 
 
@@ -106,29 +108,36 @@ def test_regret_scores_identical_features_tie():
     agg = rep.init_aggregator(4, 2, rng)
     policy = policy_mod.init_policy(8, (6, 4), rng)
     state = env.init_episode(g, 0, agg)
-    scores, _, _ = state.candidate_scores(policy)
+    scores, _ = state.candidate_scores(policy)
     assert scores[0] == pytest.approx(scores[1], abs=1e-12)
 
 
 def test_regret_scores_match_per_candidate_forward():
     g, agg, _, policy = make_setup(seed=4)
     state = env.init_episode(g, 1, agg)
-    scores, probs, states = state.candidate_scores(policy)
+    scores, states = state.candidate_scores(policy)
+    states = states.copy()  # a view of the table, which take overwrites
     h_v = self_embedding(agg, g.features[1])
     for i, u in enumerate(state.candidates):
         h_u = np.zeros(6) if u == env.END else self_embedding(agg, g.features[u])
         assert np.allclose(states[i], np.concatenate([h_v, h_u]), rtol=0, atol=1e-12)
         out, _ = nn.mlp_forward(policy.mlp, states[i], head="linear")
         assert scores[i] == pytest.approx(out[0], abs=1e-12)
-        # the accept probability is the sigmoid of the score, bit for bit
-        assert probs[i] == nn.sigmoid(np.array([scores[i]]))[0]
-    # taking a candidate drops its id and its table row together
+        # the walkers' scalar accept probability is the array sigmoid's, bit for bit
+        assert nn.sigmoid(scores[i]) == nn.sigmoid(np.array([scores[i]]))[0]
+    # taking a candidate drops its id and its table row together, and the
+    # pending rows stay compacted at the front in candidate order
     first = state.candidates[0]
     assert state.take(0) == first
-    rest, _, rest_states = state.candidate_scores(policy)
+    rest, rest_states = state.candidate_scores(policy)
     assert first not in state.candidates
     assert np.array_equal(rest_states, states[1:])
     assert np.allclose(rest, scores[1:], atol=1e-12)
+    middle = state.candidates[2]
+    assert state.take(2) == middle
+    _, rest_states = state.candidate_scores(policy)
+    assert middle not in state.candidates
+    assert np.array_equal(rest_states, np.delete(states[1:], 2, axis=0))
 
 
 def test_sample_next_candidate_single_candidate_always_picked():

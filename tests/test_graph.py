@@ -1,4 +1,5 @@
 import hashlib
+import json
 import re
 import tempfile
 import tracemalloc
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from graphdenoise.graph import (Graph, GraphError, NoiseSpec, build_graph,
                                 corrupt_features, generate_planted_partition,
                                 inject_edge_noise, load_graph, save_graph_json,
-                                stratified_split, validate_graph, write_edge_list)
+                                stratified_split, validate_graph, write_edge_list, write_json)
 
 
 def graphs_equal(a, b):
@@ -289,6 +290,85 @@ def test_json_round_trip(tmp_path):
     path2 = tmp_path / "g2.json"
     save_graph_json(g, path2)
     assert path.read_bytes() == path2.read_bytes()
+
+
+def compact(obj):
+    """The one-shot encoding every JSON artifact must equal, byte for byte."""
+    return (json.dumps(obj, separators=(",", ":")) + "\n").encode()
+
+
+def graph_blob(g):
+    """save_graph_json's object, every array as nested lists."""
+    return {"n": g.num_nodes, "edges": [[u, v] for u, v in g.edge_list()],
+            "features": [row.tolist() for row in g.features], "labels": g.labels.tolist(),
+            "masks": {"train": g.train_mask.tolist(), "val": g.val_mask.tolist(),
+                      "test": g.test_mask.tolist()}}
+
+
+@pytest.mark.parametrize("n, dim", [(0, 3), (1, 1), (7, 1), (256, 2), (257, 1), (1025, 3)])
+def test_save_graph_json_bytes_are_the_one_shot_encoding(tmp_path, n, dim):
+    # the feature table is written in blocks of rows; counts on, past and across
+    # several block edges, D = 1 and extreme floats must not move a byte
+    rng = np.random.default_rng(n)
+    features = rng.standard_normal((n, dim))
+    features.ravel()[:3] = [-0.0, 1e-300, 1e300][:features.size]
+    edges = [(u, v) for u in range(n) for v in (u + 1, u + 5) if v < n]
+    g = build_graph(n, edges, features, rng.integers(0, 3, n))
+    save_graph_json(g, tmp_path / "g.json")
+    assert (tmp_path / "g.json").read_bytes() == compact(graph_blob(g))
+
+
+def test_write_json_bytes_are_the_one_shot_encoding(tmp_path):
+    rng = np.random.default_rng(5)
+    table = rng.standard_normal((600, 2))
+    payloads = [
+        {},  # checkpoint, eval and report shaped payloads
+        {"version": 1, "extra": {"config": {"embed_dim": 4, "policy_hidden": [8, 5]}},
+         "arrays": {"agg.W": {"shape": [2, 3], "data": rng.standard_normal(6).tolist()}}},
+        {"mask": "test", "selection": "policy", "micro_f1": 0.1 + 0.2},
+        {"nodes": list(range(40)), "fractions": (rng.random(40) / 3).tolist(),
+         "histogram": [3, 0, 37]},
+        {1: None, "unicode": "\u00e9\n", "flag": True, "x": -0.0, "tiny": 1e-300},
+    ]
+    for k, payload in enumerate(payloads):
+        write_json(tmp_path / f"{k}.json", payload)
+        assert (tmp_path / f"{k}.json").read_bytes() == compact(payload)
+    # a 2-D array value, first or last, with an empty one between
+    write_json(tmp_path / "t.json", {"a": table, "e": np.zeros((0, 2)), "z": table[:1]})
+    assert (tmp_path / "t.json").read_bytes() == compact(
+        {"a": table.tolist(), "e": [], "z": table[:1].tolist()})
+
+
+def streamed_save_graph_json(g, path):
+    """The writer that write_json's blocks replaced: the pure-Python encoder
+    streaming a blob of nested lists."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(graph_blob(g), fh, separators=(",", ":"))
+        fh.write("\n")
+
+
+def test_save_graph_json_peak_memory_is_within_the_streamed_writer(tmp_path):
+    # one-shot encoding of the whole feature table would build its nested lists
+    # and its whole string at once
+    g = generate_planted_partition(2800, 7, 0.004, 0.0005, 32, 1.0, seed=3)
+    peaks = []
+    for write in (streamed_save_graph_json, save_graph_json):
+        tracemalloc.start()
+        try:
+            write(g, tmp_path / f"{write.__name__}.json")
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0]
+    assert ((tmp_path / "save_graph_json.json").read_bytes()
+            == (tmp_path / "streamed_save_graph_json.json").read_bytes())
+
+
+def test_feature_integer_past_float64_range_is_named():
+    # numpy's OverflowError says only "int too large to convert to float"
+    for big in (10**400, -10**400):
+        with pytest.raises(GraphError, match=re.escape(f"table of numbers, got {big}")):
+            build_graph(3, [(0, 1)], [[1.0], [big], [0.5]], [0, 1, 1])
 
 
 def test_json_without_features_gets_one_hot_identity(tmp_path):

@@ -1,4 +1,6 @@
+import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -226,6 +228,19 @@ def test_sigmoid_strictly_inside_unit_interval():
     assert s[3] == 0.5
 
 
+def test_sigmoid_of_a_float_is_the_array_path_bit_for_bit():
+    # the walkers take one candidate's probability from its score alone; it
+    # must keep the bits the all-candidates array sigmoid gave them
+    special = [0.0, -0.0, 1e-17, -1e-17, 36.0, -36.0, 709.0, -709.0, 745.0, -745.0,
+               math.inf, -math.inf]
+    z = np.concatenate([np.random.default_rng(0).normal(0.0, 4.0, 50_000), special])
+    expected = nn.sigmoid(z)
+    for scalars in (z.tolist(), list(z)):  # Python floats, and numpy float64s as walkers pass
+        got = [nn.sigmoid(x) for x in scalars]
+        assert all(type(p) is float for p in got)
+        assert np.array(got).tobytes() == expected.tobytes()
+
+
 def test_adam_zero_gradient_keeps_params():
     rng = np.random.default_rng(0)
     params = [rng.standard_normal((2, 3))]
@@ -280,3 +295,13 @@ def test_checkpoint_rejects_bad_version(tmp_path):
 def test_checkpoint_rejects_non_finite(tmp_path):
     with pytest.raises(ValueError):
         nn.save_arrays(tmp_path / "x.json", {"a": np.array([[np.inf]])})
+
+
+def test_checkpoint_integer_past_float64_range_is_named(tmp_path):
+    # numpy's OverflowError would name no value and is no ValueError
+    path = tmp_path / "ckpt.json"
+    for big in (10**400, -10**400):
+        path.write_text(json.dumps({"version": 1, "arrays": {
+            "a": {"shape": [1, 3], "data": [0.5, big, 1.0]}}}))
+        with pytest.raises(ValueError, match=re.escape(f"'a' needs float64 numbers, got {big}")):
+            nn.load_arrays(path)

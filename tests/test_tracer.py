@@ -158,5 +158,10 @@ def test_cli_inference_meets_infer_skewed_zero_predictions(tmp_path):
     traced = {}
     layers = _traced_layers(tracer_mod, lambda: traced.update(commands(tmp_path / "traced")))
     assert layers["trainer.decode_calls"] > 0 and layers["graph.load_s"] > 0
+    # a walker that bypasses a traced function (decodes without greedy_select,
+    # scores without nn.mlp_forward_batch) leaves one of these empty
+    decode_path = ["trainer.decode_calls", "nn.forward_calls", "nn.ckpt_load_s",
+                   "graph.build_calls", "cli.eval_s", "cli.denoise_s", "cli.report_s"]
+    assert [n for n in decode_path if layers[n] == 0] == []
     assert [n for n in _zero_predictions("infer-skewed") if layers[n] != 0] == []
     assert "eval.json" in traced and traced == commands(tmp_path / "plain")

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphdenoise import env
+from graphdenoise import env, nn
 from graphdenoise import policy as policy_mod
 from graphdenoise import representation as rep
 from graphdenoise import trainer
@@ -367,12 +367,12 @@ def reject_walking_greedy_select(graph, v, policy, agg):
     priority order, kept iff its probability is >= 0.5, until END."""
     state = env.init_episode(graph, v, agg)
     while len(state.candidates) > 1:
-        scores, probs, _ = state.candidate_scores(policy)
+        scores, _ = state.candidate_scores(policy)
         i = int(np.argmax(scores))
         u = state.take(i)
         if u == env.END:
             break
-        if probs[i] >= 0.5:
+        if nn.sigmoid(scores)[i] >= 0.5:
             state.accept(graph, agg, u)
     return state.selected
 
