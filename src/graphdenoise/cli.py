@@ -2,16 +2,17 @@
 check-submodular.
 
 Every subcommand takes --seed and --out-dir; train also takes --config (a
-JSON file of training-config overrides; built-in defaults < config file <
-explicit flags, and a key that names no config field is a validation
-error). All outputs are deterministic given the seed. Exit codes: 0
-success, 1 validation error, 2 runtime failure.
+JSON file of training-config overrides). Each train flag sets one config
+field and is parsed only when given, so one merge lays the flags over the
+file and TrainConfig.from_dict validates the result once: built-in defaults
+< config file < explicit flags, and a key that names no config field is a
+validation error. All outputs are deterministic given the seed. Exit codes:
+0 success, 1 validation error, 2 runtime failure.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import sys
 
@@ -20,12 +21,23 @@ import numpy as np
 from . import submodular, trainer
 from .graph import (NoiseSpec, corrupt_features, generate_planted_partition, inject_edge_noise,
                     load_graph, read_json, save_graph_json, write_json)
+from .policy import PPOConfig
 from .seeding import spawn_rng
+from .trainer import TrainConfig
 
-
-def _add_common(p):
-    p.add_argument("--seed", type=int, default=None, help="root random seed (config default 0)")
-    p.add_argument("--out-dir", default=".", help="directory for output artifacts")
+# (flag, config class, field, type, help): each train flag sets one field, a
+# PPOConfig one inside the config's ppo object; help appends the class default
+_TRAIN_FLAGS = (
+    ("--iters", TrainConfig, "outer_iters", int, "outer training iterations"),
+    ("--rep-epochs", TrainConfig, "rep_epochs", int, "representation epochs per iteration"),
+    ("--gamma", PPOConfig, "gamma", float, "return discount factor"),
+    ("--delta", PPOConfig, "delta", float, "trust-region KL threshold"),
+    ("--batch-size", TrainConfig, "batch_size", int, "representation minibatch size"),
+    ("--embed-dim", TrainConfig, "embed_dim", int, "embedding dimension"),
+    ("--select-all", TrainConfig, "select_all", bool,
+     "baseline: keep every neighbor, skip policy learning"),
+    ("--seed", TrainConfig, "seed", int, "root random seed"),
+)
 
 
 def _add_graph_input(p):
@@ -41,60 +53,53 @@ def build_parser():
         description="Noise-robust node representations via policy-driven neighbor selection.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_parser(name, help_text):
-        return sub.add_parser(name, help=help_text,
-                              formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+    def add_parser(name, handler, help_text):
+        p = sub.add_parser(name, help=help_text,
+                           formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+        p.set_defaults(func=handler)
+        if name != "train":  # train's seed is a config field, in _TRAIN_FLAGS
+            p.add_argument("--seed", type=int, default=0, help="root random seed")
+        p.add_argument("--out-dir", default=".", help="directory for output artifacts")
+        return p
 
-    p = add_parser("synth", "generate a planted-partition dataset")
+    p = add_parser("synth", cmd_synth, "generate a planted-partition dataset")
     p.add_argument("--n", type=int, default=200, help="number of nodes")
     p.add_argument("--classes", type=int, default=2, help="number of classes")
     p.add_argument("--p-in", type=float, default=0.1, help="within-class edge probability")
     p.add_argument("--p-out", type=float, default=0.0, help="cross-class edge probability")
     p.add_argument("--dim", type=int, default=8, help="feature dimension")
     p.add_argument("--strength", type=float, default=1.0, help="class-mean scale vs unit noise")
-    _add_common(p)
 
-    p = add_parser("noise", "inject edge / feature noise into a graph")
+    p = add_parser("noise", cmd_noise, "inject edge / feature noise into a graph")
     _add_graph_input(p)
     p.add_argument("--edge-noise", type=float, default=0.0, help="added cross-class edges as a fraction of edges")
     p.add_argument("--feature-noise", type=float, default=0.0, help="fraction of feature entries corrupted")
     p.add_argument("--corrupt-mode", choices=["zero", "randomize"], default="zero")
-    _add_common(p)
 
-    p = add_parser("train", "train the selector and the aggregator")
+    p = add_parser("train", cmd_train, "train the selector and the aggregator")
     _add_graph_input(p)
-    p.add_argument("--iters", type=int, default=None, help="outer training iterations (config default 20)")
-    p.add_argument("--rep-epochs", type=int, default=None, help="representation epochs per iteration (config default 80)")
-    p.add_argument("--gamma", type=float, default=None, help="return discount factor (config default 0.95)")
-    p.add_argument("--delta", type=float, default=None, help="trust-region KL threshold (config default 0.01)")
-    p.add_argument("--batch-size", type=int, default=None, help="representation minibatch size (config default 256)")
-    p.add_argument("--embed-dim", type=int, default=None, help="embedding dimension (config default 128)")
-    p.add_argument("--select-all", action="store_true",
-                   help="baseline: keep every neighbor, skip policy learning")
+    for flag, owner, name, kind, text in _TRAIN_FLAGS:  # absent from args unless given
+        typed = {"action": "store_true"} if kind is bool else {"type": kind}
+        p.add_argument(flag, dest=name, default=argparse.SUPPRESS, **typed,
+                       help=f"{text} (config default {getattr(owner, name)})")
     p.add_argument("--config", default=None, help="JSON file of training-config overrides")
-    _add_common(p)
 
-    for name, help_text in (("eval", "score a checkpoint on a mask"),
-                            ("denoise", "export the kept-edge graph"),
-                            ("report", "selected-neighbor fraction distribution")):
-        p = add_parser(name, help_text)
+    for name, handler, help_text in (
+            ("eval", cmd_eval, "score a checkpoint on a mask"),
+            ("denoise", cmd_denoise, "export the kept-edge graph"),
+            ("report", cmd_report, "selected-neighbor fraction distribution")):
+        p = add_parser(name, handler, help_text)
         _add_graph_input(p)
         p.add_argument("--checkpoint", required=True)
         if name == "eval":
             p.add_argument("--mask", choices=["val", "test"], default="test",
                            help="which mask to score")
         p.add_argument("--selection", choices=trainer.SELECTION_MODES, default="policy")
-        _add_common(p)
 
-    p = add_parser("check-submodular", "run the reward-property suites")
+    p = add_parser("check-submodular", cmd_check_submodular, "run the reward-property suites")
     p.add_argument("--trials", type=int, default=1000, help="randomized trials per property")
     p.add_argument("--graph", default=None, help="optional graph json (default: fresh synthetic)")
-    _add_common(p)
     return parser
-
-
-def _seed(args):
-    return 0 if args.seed is None else int(args.seed)
 
 
 def _load_graph(args):
@@ -114,28 +119,22 @@ def _load_graph_and_model(args):
 
 
 def _build_config(args):
-    """defaults < --config file < explicit flags."""
-    base = trainer.TrainConfig().to_dict()
-    if args.config:
-        overrides = read_json(args.config)
-        if not isinstance(overrides, dict):
-            raise ValueError(f"--config must hold a JSON object, got {type(overrides).__name__}")
-        base.update(overrides)
-    for flag in ("iters", "rep_epochs", "batch_size", "embed_dim", "seed"):
-        value = getattr(args, flag)
-        if value is not None:
-            base["outer_iters" if flag == "iters" else flag] = value
-    if args.select_all:
-        base["select_all"] = True
-    cfg = trainer.TrainConfig.from_dict(base)
-    ppo_flags = {k: getattr(args, k) for k in ("gamma", "delta") if getattr(args, k) is not None}
-    cfg.ppo = dataclasses.replace(cfg.ppo, **ppo_flags)
-    return cfg
+    """defaults < --config file < explicit flags, validated once by from_dict."""
+    overrides = read_json(args.config) if args.config else {}
+    if not isinstance(overrides, dict):
+        raise ValueError(f"--config must hold a JSON object, got {type(overrides).__name__}")
+    given = vars(args)  # a train flag is present only when given
+    for _, owner, name, _, _ in _TRAIN_FLAGS:
+        if name in given:
+            target = overrides if owner is TrainConfig else overrides.setdefault("ppo", {})
+            if isinstance(target, dict):  # from_dict names a ppo that is no object
+                target[name] = given[name]
+    return TrainConfig.from_dict(overrides)
 
 
 def cmd_synth(args):
     g = generate_planted_partition(args.n, args.classes, args.p_in, args.p_out,
-                                   args.dim, args.strength, _seed(args))
+                                   args.dim, args.strength, args.seed)
     out = os.path.join(args.out_dir, "graph.json")
     save_graph_json(g, out)
     print(f"wrote {out}: {g.num_nodes} nodes, {g.num_edges} edges, "
@@ -146,7 +145,7 @@ def cmd_synth(args):
 def cmd_noise(args):
     g = _load_graph(args)
     spec = NoiseSpec(edge_noise_rate=args.edge_noise,
-                     feature_corrupt_rate=args.feature_noise, seed=_seed(args))
+                     feature_corrupt_rate=args.feature_noise, seed=args.seed)
     before = g.num_edges
     g = inject_edge_noise(g, spec)
     g = corrupt_features(g, spec, mode=args.corrupt_mode)
@@ -203,16 +202,15 @@ def cmd_report(args):
 
 
 def cmd_check_submodular(args):
-    seed = _seed(args)
     g = (load_graph(args.graph) if args.graph
-         else generate_planted_partition(50, 2, 0.35, 0.12, 8, 1.0, seed))
-    cfg = trainer.TrainConfig(embed_dim=16, seed=seed)
+         else generate_planted_partition(50, 2, 0.35, 0.12, 8, 1.0, args.seed))
+    cfg = TrainConfig(embed_dim=16, seed=args.seed)
     _, agg, clf = trainer.init_params(g, cfg)
     node = max(range(g.num_nodes), key=lambda v: (g.degree(v), -v))
     f = submodular.SelectionRewardFunction(g, node, agg, clf)
-    mono = submodular.check_monotone(f, args.trials, spawn_rng(seed, 100))
-    sub = submodular.check_submodular(f, args.trials, spawn_rng(seed, 101))
-    spread = f.order_spread(f.ground[:min(8, len(f.ground))], spawn_rng(seed, 102))
+    mono = submodular.check_monotone(f, args.trials, spawn_rng(args.seed, 100))
+    sub = submodular.check_submodular(f, args.trials, spawn_rng(args.seed, 101))
+    spread = f.order_spread(f.ground[:min(8, len(f.ground))], spawn_rng(args.seed, 102))
     payload = {"node": node}
     for check in (mono, sub):  # keyed "monotone" and "submodular"
         payload[check.name] = {"function": check.name, "trials": check.trials,
@@ -229,17 +227,6 @@ def cmd_check_submodular(args):
     return 0 if mono.passed and sub.passed else 1
 
 
-_COMMANDS = {
-    "synth": cmd_synth,
-    "noise": cmd_noise,
-    "train": cmd_train,
-    "eval": cmd_eval,
-    "denoise": cmd_denoise,
-    "report": cmd_report,
-    "check-submodular": cmd_check_submodular,
-}
-
-
 def run(argv):
     """Parse argv (without the program name) and execute one subcommand."""
     parser = build_parser()
@@ -249,7 +236,7 @@ def run(argv):
         return 0 if exc.code in (0, None) else 1
     try:
         os.makedirs(args.out_dir, exist_ok=True)
-        return _COMMANDS[args.command](args)
+        return args.func(args)
     except (ValueError, FileNotFoundError) as exc:  # a GraphError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -154,43 +154,39 @@ def mlp_backward(params, cache, upstream):
     return mlp_backward_batch(params, cache, upstream[None, :])
 
 
-@dataclass
+@dataclass(frozen=True)
 class AdamState:
-    """Adaptive-moment accumulators for a list of parameter matrices."""
+    """Adaptive-moment accumulators for a list of parameter matrices; a value
+    that adam_step replaces, never writes."""
 
     lr: float
-    step: int = 0
-    m: list = field(default_factory=list)
-    v: list = field(default_factory=list)
-
-    def copy(self):
-        """A snapshot sharing the moment arrays, which adam_step rebinds and never writes."""
-        return AdamState(self.lr, self.step, list(self.m), list(self.v))
+    step: int
+    m: tuple
+    v: tuple
 
 
 def adam_init(params, lr):
-    return AdamState(lr=lr, m=[np.zeros_like(p) for p in params],
-                     v=[np.zeros_like(p) for p in params])
+    zeros = tuple(np.zeros_like(p) for p in params)  # never written, so both moments share them
+    return AdamState(lr, 0, zeros, zeros)
 
 
 def adam_step(state, params, grads):
     """One adaptive-moment step down a loss whose gradients are `grads`;
-    returns the new parameter list."""
+    returns (new parameter list, new AdamState)."""
     if len(params) != len(state.m) or len(params) != len(grads):
         raise ValueError("parameter/gradient/state length mismatch")
-    state.step += 1
-    t = state.step
-    out = []
-    for i, (p, g) in enumerate(zip(params, grads)):
+    t = state.step + 1
+    out, m, v = [], [], []
+    for i, (p, g, m_i, v_i) in enumerate(zip(params, grads, state.m, state.v)):
         g = np.asarray(g, dtype=np.float64)
-        if g.shape != p.shape or state.m[i].shape != p.shape:
+        if g.shape != p.shape or m_i.shape != p.shape:
             raise ValueError(f"shape mismatch at parameter {i}: {p.shape} vs {g.shape}")
-        state.m[i] = ADAM_BETA1 * state.m[i] + (1.0 - ADAM_BETA1) * g
-        state.v[i] = ADAM_BETA2 * state.v[i] + (1.0 - ADAM_BETA2) * g * g
-        mhat = state.m[i] / (1.0 - ADAM_BETA1 ** t)
-        vhat = state.v[i] / (1.0 - ADAM_BETA2 ** t)
+        m.append(ADAM_BETA1 * m_i + (1.0 - ADAM_BETA1) * g)
+        v.append(ADAM_BETA2 * v_i + (1.0 - ADAM_BETA2) * g * g)
+        mhat = m[i] / (1.0 - ADAM_BETA1 ** t)
+        vhat = v[i] / (1.0 - ADAM_BETA2 ** t)
         out.append(p - state.lr * mhat / (np.sqrt(vhat) + ADAM_EPS))
-    return out
+    return out, AdamState(state.lr, t, tuple(m), tuple(v))
 
 
 def check_second_moments(state, what):

@@ -190,23 +190,23 @@ def ppo_update(policy, trajectories, *, cfg, rng):
 
     with np.errstate(over="ignore"):  # an overflowed g * g is named just below
         for _ in range(int(cfg.update_epochs)):
-            # adam_step never writes into an array, so these two snapshot the epoch's start
-            snap_weights, snap_opt = work.mlp.weights, opt
+            # adam_step writes into no array and no state, so this pair snapshots the epoch's start
+            snapshot = work.mlp.weights, opt
             for retry in (False, True):
                 if retry:  # the epoch left the trust region: roll back, double the penalty
                     beta *= 2.0
-                work.mlp.weights, opt = snap_weights, snap_opt.copy()
+                work.mlp.weights, opt = snapshot
                 order = rng.permutation(m)
                 for start in range(0, m, cfg.minibatch_size):
                     rows = order[start:start + cfg.minibatch_size]
                     _, grads = surrogate_and_grads(work, states[rows], actions[rows],
                                                    logq[rows], norm_returns[rows],
                                                    p_old[rows], beta)
-                    work.mlp.weights = nn.adam_step(opt, work.mlp.weights, grads)
+                    work.mlp.weights, opt = nn.adam_step(opt, work.mlp.weights, grads)
                 if not mean_kl() > 1.5 * cfg.delta:
                     break
             else:  # the retry still left the trust region: reject the epoch
-                work.mlp.weights, opt = snap_weights, snap_opt
+                work.mlp.weights, opt = snapshot
     nn.check_second_moments(opt, "PPO round")
 
     loss, _ = surrogate_and_grads(work, states, actions, logq, norm_returns, p_old, beta)

@@ -91,12 +91,10 @@ def micro_f1(predictions, labels):
     if predictions.size == 0:
         raise ValueError("micro_f1 needs at least one sample")
     tp = int(np.sum(predictions == labels))
-    fp = fn = predictions.size - tp
     if tp == 0:
         return 0.0
-    precision = tp / (tp + fp)
-    recall = tp / (tp + fn)
-    return 2.0 * precision * recall / (precision + recall)
+    p = tp / predictions.size  # precision = recall: tp + fp = tp + fn = n
+    return 2.0 * p * p / (p + p)
 
 
 def prediction_loss_grads(agg, clf, means, labels):
@@ -113,7 +111,7 @@ def prediction_loss_grads(agg, clf, means, labels):
     picked = np.clip(probs[np.arange(m), labels], 1e-300, None)
     loss = float(-np.log(picked).mean())
 
-    dlogits = probs.copy()
+    dlogits = probs  # in place: loss and picked no longer read probs
     dlogits[np.arange(m), labels] -= 1.0
     dlogits /= m
     d_v = dlogits.T @ h
@@ -167,7 +165,7 @@ def train_representation(agg, clf, means, labels, epochs, batch_size, lr, rng):
             for start in range(0, labels.size, batch_size):
                 rows = order[start:start + batch_size]
                 loss, d_w, d_v = prediction_loss_grads(agg, clf, means[rows], labels[rows])
-                agg.W, clf.V = nn.adam_step(opt, [agg.W, clf.V], [d_w, d_v])
+                (agg.W, clf.V), opt = nn.adam_step(opt, [agg.W, clf.V], [d_w, d_v])
                 total += loss * rows.size
             history.append(total / labels.size)
     nn.check_second_moments(opt, "representation fit")

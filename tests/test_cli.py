@@ -8,6 +8,7 @@ import pytest
 from graphdenoise import trainer
 from graphdenoise.cli import build_parser, run
 from graphdenoise.graph import build_graph, load_graph, save_graph_json
+from graphdenoise.policy import PPOConfig
 
 
 def read(path):
@@ -51,7 +52,23 @@ def test_unknown_flag_is_validation_error(tmp_path):
 
 def test_help_exits_zero():
     assert run(["--help"]) == 0
+    for command in ("synth", "noise", "train", "eval", "denoise", "report", "check-submodular"):
+        assert run([command, "--help"]) == 0, command
+
+
+def test_train_help_names_each_config_default(capsys):
     assert run(["train", "--help"]) == 0
+    text = " ".join(capsys.readouterr().out.split())  # undo argparse's line wrapping
+    for flag, owner, field in (("--iters", trainer.TrainConfig, "outer_iters"),
+                               ("--rep-epochs", trainer.TrainConfig, "rep_epochs"),
+                               ("--gamma", PPOConfig, "gamma"),
+                               ("--delta", PPOConfig, "delta"),
+                               ("--batch-size", trainer.TrainConfig, "batch_size"),
+                               ("--embed-dim", trainer.TrainConfig, "embed_dim"),
+                               ("--select-all", trainer.TrainConfig, "select_all"),
+                               ("--seed", trainer.TrainConfig, "seed")):
+        entry = text[text.index(f" {flag} ", text.index("options:")) + 1:].split(" --")[0]
+        assert entry.endswith(f"(config default {getattr(owner, field)})"), entry
 
 
 def test_missing_graph_file_is_validation_error(tmp_path):
@@ -179,6 +196,39 @@ def test_config_file_overrides_defaults_but_not_flags(tmp_path):
     _, _, _, config = trainer.load_checkpoint(out / "checkpoint.json")
     assert config["outer_iters"] == 1  # from file
     assert config["rep_epochs"] == 4  # flag wins over file
+
+
+@pytest.mark.parametrize("file_values, flags, field, value", [
+    ({"outer_iters": -1}, ["--iters", "0"], "outer_iters", 0),
+    ({"ppo": {"gamma": 2}}, ["--gamma", "0.5"], "ppo.gamma", 0.5),
+    ({"ppo": {"delta": 0}}, ["--delta", "0.1"], "ppo.delta", 0.1),
+], ids=["iters", "gamma", "delta"])
+def test_explicit_flags_win_over_config_file_values(tmp_path, file_values, flags, field, value):
+    # the file and the flags merge before one validation, so a flag also
+    # replaces a file value that is out of range on its own
+    assert run(synth_args(tmp_path)) == 0
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(file_values))
+    out = tmp_path / "run"
+    assert run(["train", "--graph", str(tmp_path / "graph.json"), "--config", str(cfg_path),
+                "--iters", "0", "--embed-dim", "4", *flags, "--out-dir", str(out)]) == 0
+    _, _, _, config = trainer.load_checkpoint(out / "checkpoint.json")
+    for key in field.split("."):
+        config = config[key]
+    assert config == value
+
+
+@pytest.mark.parametrize("file_values, named", [
+    ({"ppo": 3}, "config key ppo must be an object, got int"),
+    ({"ppo": {"bogus": 1}}, "unknown config keys: ppo.bogus"),
+], ids=["ppo-not-object", "ppo-unknown-key"])
+def test_ppo_flag_never_merges_into_a_bad_ppo_value(tmp_path, capsys, file_values, named):
+    assert run(synth_args(tmp_path)) == 0
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(file_values))
+    assert run(["train", "--graph", str(tmp_path / "graph.json"), "--config", str(cfg_path),
+                "--iters", "0", "--gamma", "0.5", "--out-dir", str(tmp_path / "run")]) == 1
+    assert named in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flags, named", [

@@ -245,8 +245,9 @@ def test_adam_zero_gradient_keeps_params():
     rng = np.random.default_rng(0)
     params = [rng.standard_normal((2, 3))]
     state = nn.adam_init(params, lr=0.1)
-    out = nn.adam_step(state, params, [np.zeros((2, 3))])
+    out, new = nn.adam_step(state, params, [np.zeros((2, 3))])
     assert np.array_equal(out[0], params[0])
+    assert (state.step, new.step) == (0, 1)  # a value: the input state is not written
 
 
 def test_adam_first_step_magnitude_is_learning_rate():
@@ -254,7 +255,7 @@ def test_adam_first_step_magnitude_is_learning_rate():
     g = np.array([[3.0, -0.25], [1e-3, -7.0]])
     params = [np.zeros((2, 2))]
     state = nn.adam_init(params, lr=0.05)
-    out = nn.adam_step(state, params, [g])
+    out, _ = nn.adam_step(state, params, [g])
     assert np.allclose(out[0], -0.05 * np.sign(g), atol=1e-6)
 
 
@@ -262,7 +263,7 @@ def test_adam_minimizes_quadratic():
     w = np.array([[1.0]])
     state = nn.adam_init([w], lr=0.05)
     for _ in range(200):
-        (w,) = nn.adam_step(state, [w], [2.0 * w])
+        (w,), state = nn.adam_step(state, [w], [2.0 * w])
     assert abs(w[0, 0]) < 0.05
 
 
