@@ -13,6 +13,7 @@ validation error. All outputs are deterministic given the seed. Exit codes:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -204,6 +205,8 @@ def cmd_report(args):
 def cmd_check_submodular(args):
     g = (load_graph(args.graph) if args.graph
          else generate_planted_partition(50, 2, 0.35, 0.12, 8, 1.0, args.seed))
+    if not g.num_nodes:
+        raise ValueError(f"{args.graph}: graph has no nodes to check the reward on")
     cfg = TrainConfig(embed_dim=16, seed=args.seed)
     _, agg, clf = trainer.init_params(g, cfg)
     node = max(range(g.num_nodes), key=lambda v: (g.degree(v), -v))
@@ -213,8 +216,7 @@ def cmd_check_submodular(args):
     spread = f.order_spread(f.ground[:min(8, len(f.ground))], spawn_rng(args.seed, 102))
     payload = {"node": node}
     for check in (mono, sub):  # keyed "monotone" and "submodular"
-        payload[check.name] = {"function": check.name, "trials": check.trials,
-                               "passes": check.passes, "first_witness": check.first_witness}
+        payload[check.function] = dataclasses.asdict(check)
     payload["order_spread"] = spread
     if len(f.ground) <= 20:
         _, greedy_val = submodular.greedy_maximize(f)
@@ -235,6 +237,8 @@ def run(argv):
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:
+        if vars(args).get("seed", 0) < 0:  # train's is absent unless given
+            raise ValueError(f"--seed must be >= 0, got {args.seed}")
         os.makedirs(args.out_dir, exist_ok=True)
         return args.func(args)
     except (ValueError, FileNotFoundError) as exc:  # a GraphError is a ValueError

@@ -9,8 +9,9 @@ rejects it by the sigmoid of its score. Both walkers live here: rollout
 softmax-samples the order for training and records decisions only,
 greedy_select decodes any node in priority order. pay_rewards then pays each
 accept the marginal-value reward (marginal_rewards): its per-neighbor task
-score over the summed scores of everything selected so far, itself included,
-so the first acceptance is worth 1 and later ones progressively less.
+score (task_scores, also the set-function view's) over the summed scores of
+everything selected so far, itself included, so the first acceptance is worth 1
+and later ones progressively less.
 """
 
 from __future__ import annotations
@@ -154,13 +155,17 @@ def greedy_select(graph, v, policy, agg):
     return state.selected
 
 
+def task_scores(graph, v, candidates, agg, clf):
+    """Task score f_c of each candidate for target v, in order; the only scorer of a pair."""
+    x_v, label = graph.features[v], graph.labels[v]
+    return [rep.f_c_score(clf, agg, x_v, graph.features[u], label) for u in candidates]
+
+
 def pay_rewards(graph, traj, agg, clf):
-    """Score each accept of traj once with the frozen representation and set
-    its reward in place from marginal_rewards (rejects keep 0); returns traj."""
-    v = traj.target
+    """Score each accept of traj once with task_scores and set its reward in
+    place from marginal_rewards (rejects keep 0); returns traj."""
     accepts = [t for t in traj.transitions if t.action == 1]
-    scores = [rep.f_c_score(clf, agg, graph.features[v], graph.features[t.candidate],
-                            graph.labels[v]) for t in accepts]
+    scores = task_scores(graph, traj.target, [t.candidate for t in accepts], agg, clf)
     for t, reward in zip(accepts, marginal_rewards(scores)):
         t.reward = reward
     return traj

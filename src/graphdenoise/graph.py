@@ -125,6 +125,8 @@ def build_graph(num_nodes, edges, features, labels, masks=None, split_seed=0):
     reject_coerced(labels, numbers.Integral, f"labels must be ({n},) integer class ids")
     reject_coerced(edges, numbers.Integral, "edges must be rows of integer node ids", rows=True)
     features = float_array(features, "features must be a rectangular table of numbers")
+    if features.shape == (0,):  # an empty list is a table of no rows, as edges are
+        features = features.reshape(0, 0)
     if features.ndim != 2 or features.shape[0] != n:
         raise GraphError(f"features must be ({n}, D), got {features.shape}")
     labels = np.asarray(labels)

@@ -25,16 +25,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import env
-from . import representation as rep
 
 _TOL = 1e-9
 
 
 class SetFunction:
-    """Finite ground set, a deterministic subset evaluator, a cardinality cap."""
+    """Finite nonempty ground set, a deterministic subset evaluator, a cardinality cap."""
 
     def __init__(self, ground, k_max):
         self.ground = tuple(sorted(int(g) for g in ground))
+        if not self.ground:
+            raise ValueError("empty ground set")
         if len(set(self.ground)) != len(self.ground):
             raise ValueError("ground set contains duplicates")
         self.k_max = int(k_max)
@@ -80,8 +81,8 @@ class CoverageFunction(SetFunction):
 class SelectionRewardFunction(SetFunction):
     """Accumulated episode reward of a node's neighbor subset.
 
-    Per-item values are the frozen per-neighbor task scores
-    f_c(embed((x_v + x_u) / 2)); they are nonnegative, so every single-item
+    Per-item values are the episode's frozen per-neighbor task scores
+    (env.task_scores); they are nonnegative, so every single-item
     gain val(c) / (sum over S of val + val(c)) is nonnegative and shrinks
     as S grows, which is exactly what the checkers probe.
     """
@@ -92,8 +93,7 @@ class SelectionRewardFunction(SetFunction):
             raise ValueError(f"node {node} has no neighbors to select from")
         super().__init__(neighbors, len(neighbors))
         self.node = int(node)
-        self.values = {u: rep.f_c_score(clf, agg, graph.features[node], graph.features[u],
-                                        graph.labels[node]) for u in neighbors}
+        self.values = dict(zip(neighbors, env.task_scores(graph, node, neighbors, agg, clf)))
 
     def order_value(self, sequence):
         """Accumulated reward of accepting the given ids in the given order."""
@@ -117,8 +117,6 @@ class SelectionRewardFunction(SetFunction):
         is from being insertion-order independent on this subset.
         """
         items = sorted(subset)
-        if len(items) < 2:
-            return 0.0
         vals = [self.order_value(items)]
         for _ in range(20):
             perm = [items[i] for i in rng.permutation(len(items))]
@@ -129,8 +127,6 @@ class SelectionRewardFunction(SetFunction):
 def greedy_maximize(f):
     """Standard greedy: grow by the best marginal gain until the cap or no
     positive gain remains; ties break toward the smallest item id."""
-    if not f.ground:
-        raise ValueError("empty ground set")
     chosen = set()
     for _ in range(min(f.k_max, len(f.ground))):
         best_item, best_gain = None, -np.inf
@@ -150,8 +146,6 @@ def greedy_maximize(f):
 
 def brute_force_optimal(f):
     """Exhaustive maximizer over all subsets of size <= k_max (ground <= 20)."""
-    if not f.ground:
-        raise ValueError("empty ground set")
     if len(f.ground) > 20:
         raise ValueError(f"ground set too large for brute force: {len(f.ground)} > 20")
     best_set = frozenset()
@@ -166,7 +160,7 @@ def brute_force_optimal(f):
 
 @dataclass
 class CheckReport:
-    name: str
+    function: str
     trials: int
     passes: int
     first_witness: dict | None
@@ -176,11 +170,14 @@ class CheckReport:
         return self.passes == self.trials
 
 
-def _random_chain(ground, rng):
-    perm = [ground[i] for i in rng.permutation(len(ground))]
-    a_cut = int(rng.integers(0, len(ground) + 1))
-    b_cut = int(rng.integers(a_cut, len(ground) + 1))
-    return perm, a_cut, b_cut
+def _run_trials(function, trials, trial):
+    """Report of `trials` calls of trial(), which returns None on a pass and its
+    witness on a failure; the first failing trial's witness is reported."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    failures = [w for w in (trial() for _ in range(int(trials))) if w is not None]
+    return CheckReport(function, int(trials), int(trials) - len(failures),
+                       failures[0] if failures else None)
 
 
 def check_monotone(f, trials, rng, tol=_TOL):
@@ -190,44 +187,31 @@ def check_monotone(f, trials, rng, tol=_TOL):
     telescopes to f(B) - f(A) for ordinary set functions and to the summed
     episode rewards for SelectionRewardFunction.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    passes = 0
-    witness = None
-    for _ in range(int(trials)):
-        perm, a_cut, b_cut = _random_chain(f.ground, rng)
+    def trial():
+        perm = [f.ground[i] for i in rng.permutation(len(f.ground))]
+        a_cut = int(rng.integers(0, len(perm) + 1))
+        b_cut = int(rng.integers(a_cut, len(perm) + 1))
         current = set(perm[:a_cut])
         delta = 0.0
-        for i in range(a_cut, b_cut):
-            delta += f.marginal(perm[i], current)
-            current.add(perm[i])
-        if delta >= -tol:
-            passes += 1
-        elif witness is None:
-            witness = {"set_a": sorted(perm[:a_cut]), "set_b": sorted(perm[:b_cut]),
-                       "delta": delta}
-    return CheckReport("monotone", int(trials), passes, witness)
+        for c in perm[a_cut:b_cut]:
+            delta += f.marginal(c, current)
+            current.add(c)
+        if not delta >= -tol:  # a NaN fails too
+            return {"set_a": sorted(perm[:a_cut]), "set_b": sorted(perm[:b_cut]), "delta": delta}
+    return _run_trials("monotone", trials, trial)
 
 
 def check_submodular(f, trials, rng, tol=_TOL):
     """Sample A <= B and c outside B; demand the gain of c does not grow with
     the base set (diminishing returns)."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if len(f.ground) < 1:
-        raise ValueError("empty ground set")
-    passes = 0
-    witness = None
-    for _ in range(int(trials)):
+    def trial():
         perm = [f.ground[i] for i in rng.permutation(len(f.ground))]
         c, rest = perm[0], perm[1:]
         a_cut = int(rng.integers(0, len(rest) + 1))
         b_cut = int(rng.integers(a_cut, len(rest) + 1))
         gain_small = f.marginal(c, frozenset(rest[:a_cut]))
         gain_large = f.marginal(c, frozenset(rest[:b_cut]))
-        if gain_small >= gain_large - tol:
-            passes += 1
-        elif witness is None:
-            witness = {"item": c, "set_a": sorted(rest[:a_cut]), "set_b": sorted(rest[:b_cut]),
-                       "gain_a": gain_small, "gain_b": gain_large}
-    return CheckReport("submodular", int(trials), passes, witness)
+        if not gain_small >= gain_large - tol:  # a NaN fails too
+            return {"item": c, "set_a": sorted(rest[:a_cut]), "set_b": sorted(rest[:b_cut]),
+                    "gain_a": gain_small, "gain_b": gain_large}
+    return _run_trials("submodular", trials, trial)

@@ -152,7 +152,7 @@ def train(graph, cfg):
             cfg.rep_lr, spawn_rng(cfg.seed, _K_REP, it))
 
         # phase 2: freeze the representation, pay fresh walks, improve the policy
-        diag = {"mean_kl": 0.0, "mean_return": 0.0, "objective": 0.0}
+        diag = {}  # ppo_update's diagnostics, when a round ran
         if not cfg.select_all:
             trajectories = [
                 env.rollout(graph, int(v), policy, agg, spawn_rng(cfg.seed, _K_COLLECT, it, v, r))
@@ -167,14 +167,8 @@ def train(graph, cfg):
         if has_val:
             val_f1 = (_micro_f1(agg, clf, val_means, graph.labels[val_ids]) if cfg.select_all
                       else evaluate(policy, agg, clf, graph, "val"))
-        history.append({
-            "iteration": it,
-            "train_loss": losses[-1] if losses else float("nan"),
-            "val_f1": val_f1,
-            "mean_reward": diag["mean_return"],
-            "mean_kl": diag["mean_kl"],
-            "objective": diag["objective"],
-        })
+        history.append({"iteration": it, "train_loss": losses[-1] if losses else float("nan"),
+                        "val_f1": val_f1, **diag})
         if (has_val and val_f1 > best_val) or not has_val:
             best = (policy, agg, clf)
             best_val, best_iter = val_f1, it

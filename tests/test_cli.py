@@ -357,6 +357,7 @@ def test_config_shape_is_validation_error(tmp_path, capsys, overrides, named):
      "val mask must hold booleans, got 1"),
     ({"masks": {"train": [False] * 3, "val": [False] * 3, "test": [0.5, 0, 0]}},
      "test mask must hold booleans, got 0.5"),
+    ({"features": [[float("nan")], [0.0], [1.0]]}, "non-finite feature values"),
 ])
 def test_malformed_graph_json_is_validation_error(tmp_path, capsys, change, named):
     blob = {"n": 3, "edges": [[0, 1], [1, 2]], "features": [[1.0], [0.0], [1.0]],
@@ -383,6 +384,39 @@ def test_graph_json_that_is_no_object_is_validation_error(tmp_path, capsys, text
     path.write_text(text)
     assert run(["noise", "--graph", str(path), "--out-dir", str(tmp_path / "out")]) == 1
     assert f"{path}: graph json must hold an object" in capsys.readouterr().err
+
+
+def test_graph_json_that_does_not_parse_is_validation_error(tmp_path, capsys):
+    path = tmp_path / "graph.json"
+    path.write_text('{"n": 3, "edges": [')
+    assert run(["noise", "--graph", str(path), "--out-dir", str(tmp_path / "out")]) == 1
+    assert f"error: cannot parse {path}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["synth"],
+    ["check-submodular", "--trials", "5"],
+    ["noise", "--edge-noise", "0.1"],
+], ids=["synth", "check-submodular", "noise"])
+def test_negative_seed_is_named_before_any_output(tmp_path, capsys, argv):
+    assert run(synth_args(tmp_path)) == 0
+    if argv[0] == "noise":
+        argv = [*argv, "--graph", str(tmp_path / "graph.json")]
+    assert run([*argv, "--seed", "-1", "--out-dir", str(tmp_path / "out")]) == 1
+    assert "--seed must be >= 0, got -1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_empty_graph_round_trips_and_each_command_names_the_problem(tmp_path, capsys):
+    assert run(["synth", "--n", "0", "--out-dir", str(tmp_path)]) == 0
+    graph = str(tmp_path / "graph.json")
+    assert run(["noise", "--graph", graph, "--out-dir", str(tmp_path / "noisy")]) == 0
+    assert read(tmp_path / "noisy" / "graph.json") == read(tmp_path / "graph.json")
+    capsys.readouterr()
+    assert run(["train", "--graph", graph, "--out-dir", str(tmp_path / "run")]) == 1
+    assert "graph has no training nodes" in capsys.readouterr().err
+    assert run(["check-submodular", "--graph", graph, "--out-dir", str(tmp_path / "chk")]) == 1
+    assert f"{graph}: graph has no nodes" in capsys.readouterr().err
 
 
 def _init_checkpoint(tmp_path, name, classes, dim):
@@ -447,9 +481,13 @@ def _matrix(name, rows, cols):
     (lambda blob: json.dumps(blob)[:19] + "\n", "checkpoint.json: Invalid control character"),
     (_edit(lambda blob: blob["arrays"]["agg.W"]["data"].__setitem__(0, 10**400)),
      f"'agg.W' needs float64 numbers, got {10**400}"),
+    (_edit(lambda blob: blob["arrays"]["agg.W"].update(shape=[16], data=[0.0] * 16)),
+     "checkpoint array agg.W has shape (16,), not a matrix"),
+    (_edit(lambda blob: blob["arrays"]["agg.W"]["data"].__setitem__(0, float("nan"))),
+     "array 'agg.W' contains non-finite values"),
 ], ids=["no-arrays", "no-agg", "no-clf", "no-policy", "tanh", "config-tanh",
         "clf-width", "policy-width", "not-object", "extra-list", "config-list", "no-data",
-        "truncated", "past-float64"])
+        "truncated", "past-float64", "vector", "nan"])
 def test_malformed_checkpoint_is_validation_error(tmp_path, capsys, change, named):
     graph, ckpt = _init_checkpoint(tmp_path, "g", classes=2, dim=6)
     changed = change(json.loads(ckpt.read_text()))  # a str is written as it is
@@ -542,13 +580,13 @@ PINNED_ARTIFACTS = {
     "check/submodular_report.json":
         "bfb86a0dc0447f61c0f831f57f9231eb9f6d25c9071da36aea08b0a6a29669c6",
     "policy/checkpoint.json": "f5fa7c29818b971433af4acea37cbff658001271f6b829456be0f0e68616219d",
-    "policy/metrics.jsonl": "c36f3d9d642ccfcb21ff6aebcaff19737eaed0f1ec299e9b4c123f63115f76fc",
+    "policy/metrics.jsonl": "f20b9a163589313901603b1b75811a940589d94f70398396c70561a314401e87",
     "policy/eval.json": "78db232a0bf11c7c6df4bc962c84daa4212f56c06c41162f702fcaea9271fb41",
     "policy/denoised_edges.txt": "1ba04e563436d1c4e0bcb0e5c1eab91db85e46293cf7a4443fe3f737c74feea3",
     "policy/denoised_graph.json": "87536ae43238342df1629058835d5e874b3677a448faf7eb4c7af376a6dca26d",
     "policy/selection_report.json": "f85f72cc7b0618facca82ef8e6437e9c13ef76bcbcdde914df3aac20c5f862f4",
     "base/checkpoint.json": "05a190cec9df35fdeb70f37b2d65d1c3d4c32d099ead2867fcbb67a7ddf9590c",
-    "base/metrics.jsonl": "4e1a1754fa23bf54471b3c0117bc2034e4f862f18ae56f1943bdffa7fd85dfa7",
+    "base/metrics.jsonl": "afebbc5145eecc634ccff860251c43474670a27f26384af09f96814e5f06ecdc",
     "base/eval.json": "c0c49e84b90542d0f89f7efee26061ca8d73ff18b62d9e1d3c6a996ab1e65650",
     "base/denoised_edges.txt": "3807883a2b1e204706637a0176ad6e6cad64f81659ca1611c24a6e4ca5fb49b5",
     "base/denoised_graph.json": "08508639b7a25e464d0e8d70566dc5dc5fe00a863755c0aa82c2d7ddf619d858",

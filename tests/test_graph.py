@@ -281,6 +281,12 @@ def test_corrupt_features_randomize_mode():
     assert int((out.features != 0.0).sum()) == 8
 
 
+def test_corrupt_features_rejects_an_unknown_mode():
+    g = build_graph(2, [(0, 1)], np.eye(2), [0, 1])
+    with pytest.raises(GraphError, match="unknown corruption mode 'bogus'"):
+        corrupt_features(g, NoiseSpec(feature_corrupt_rate=0.5), mode="bogus")
+
+
 def test_json_round_trip(tmp_path):
     g = generate_planted_partition(30, 2, 0.4, 0.1, 4, 1.0, seed=6)
     path = tmp_path / "g.json"
@@ -413,6 +419,29 @@ def test_edge_list_loader_rejects_ragged_features(tmp_path):
         load_graph(tmp_path / "edges.txt", fmt="edge-list+features",
                    features_path=tmp_path / "feats.tsv",
                    labels_path=tmp_path / "labels.txt")
+
+
+@pytest.mark.parametrize("kwargs, named", [
+    ({"features_path": "feats.tsv"}, "edge-list format needs labels_path"),
+    ({"features_path": "feats.tsv", "labels_path": "labels.txt"}, "2 feature rows but 3 labels"),
+    ({"fmt": "csv", "labels_path": "labels.txt"}, "unknown graph format 'csv'"),
+], ids=["no-labels", "short-features", "unknown-format"])
+def test_load_graph_names_its_bad_arguments(tmp_path, kwargs, named):
+    (tmp_path / "edges.txt").write_text("0 1\n")
+    (tmp_path / "feats.tsv").write_text("1.0\t0.0\n0.0\t1.0\n")
+    (tmp_path / "labels.txt").write_text("0\n1\n1\n")
+    kwargs = {k: v if k == "fmt" else tmp_path / v for k, v in kwargs.items()}
+    with pytest.raises(GraphError, match=re.escape(named)):
+        load_graph(tmp_path / "edges.txt", **{"fmt": "edge-list+features", **kwargs})
+
+
+def test_empty_graph_json_round_trips_byte_for_byte(tmp_path):
+    # an empty feature list reads as a (0, 0) table, as an empty edge list reads as (0, 2)
+    save_graph_json(generate_planted_partition(0, 2, 0.1, 0.0, 8, 1.0, seed=0), tmp_path / "a.json")
+    g = load_graph(tmp_path / "a.json")
+    assert g.num_nodes == 0 and g.features.shape == (0, 0)
+    save_graph_json(g, tmp_path / "b.json")
+    assert (tmp_path / "b.json").read_bytes() == (tmp_path / "a.json").read_bytes()
 
 
 def test_edge_list_export(tmp_path):

@@ -227,3 +227,45 @@ def test_reward_function_bound_against_brute_force():
         _, greedy_val = greedy_maximize(f)
         _, best_val = brute_force_optimal(f)
         assert greedy_val >= BOUND * best_val - 1e-9
+
+
+# passes and first witness of each check, pinned as exact literals: the draw
+# order from rng, the first failing trial and each witness's keys and floats
+def _decreasing():
+    return LambdaSetFunction(range(6), lambda s: -float(len(s)), k_max=6)
+
+
+def _supermodular():
+    return LambdaSetFunction(range(6), lambda s: float(len(s)) ** 2, k_max=6)
+
+
+def _reward():
+    return make_reward_fn()[0]
+
+
+@pytest.mark.parametrize("make, check, seed, tol, passes, witness", [
+    (_decreasing, check_monotone, 1, 1e-9, 70,
+     {"set_a": [0, 2], "set_b": [0, 1, 2, 3, 4, 5], "delta": -4.0}),
+    (_supermodular, check_submodular, 4, 1e-9, 87,
+     {"item": 1, "set_a": [], "set_b": [0, 2], "gain_a": 1.0, "gain_b": 5.0}),
+    (_reward, check_monotone, 0, 1e-9, 200, None),
+    (_reward, check_submodular, 0, 1e-9, 200, None),
+    (_reward, check_monotone, 0, -1.2, 28,
+     {"set_a": [4, 12, 14, 19, 21], "set_b": [2, 4, 12, 14, 16, 19, 21, 49],
+      "delta": 0.31915503668224576}),
+    (_reward, check_submodular, 0, -0.1, 60,
+     {"item": 14, "set_a": [4, 12, 16, 19, 21], "set_b": [2, 4, 12, 16, 19, 21, 22, 49],
+      "gain_a": 0.16985643591884786, "gain_b": 0.11962983335991918}),
+], ids=["monotone-decreasing", "submodular-supermodular", "monotone-reward", "submodular-reward",
+        "monotone-reward-strict", "submodular-reward-strict"])
+def test_check_reports_are_pinned(make, check, seed, tol, passes, witness):
+    report = check(make(), 200, np.random.default_rng(seed), tol=tol)
+    assert (report.trials, report.passes) == (200, passes)
+    assert report.first_witness == witness
+    assert list(report.first_witness or {}) == list(witness or {})
+
+
+def test_a_nan_gain_fails_both_checks():
+    f = LambdaSetFunction(range(4), lambda s: float("nan") if s else 0.0, k_max=4)
+    assert not check_monotone(f, 50, np.random.default_rng(0)).passed
+    assert not check_submodular(f, 50, np.random.default_rng(0)).passed

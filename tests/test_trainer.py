@@ -56,8 +56,8 @@ def test_history_length_and_finiteness():
     result = trainer.train(g, small_config(outer_iters=3))
     assert len(result.history) == 3
     for row in result.history:
-        assert set(row) == {"iteration", "train_loss", "val_f1", "mean_reward",
-                            "mean_kl", "objective"}
+        assert set(row) == {"iteration", "train_loss", "val_f1", "mean_kl", "objective",
+                            "kl_coeff", "mean_return", "num_transitions"}
         assert np.isfinite(row["train_loss"])
         assert np.isfinite(row["val_f1"])
 
@@ -139,7 +139,8 @@ def test_select_all_baseline_skips_policy_learning():
     init_policy, _, _ = trainer.init_params(g, cfg)
     assert all(np.array_equal(a, b)
                for a, b in zip(result.policy.mlp.weights, init_policy.mlp.weights))
-    assert all(row["mean_kl"] == 0.0 for row in result.history)
+    # no PPO round ran, so no row carries ppo_update's diagnostics
+    assert all(set(row) == {"iteration", "train_loss", "val_f1"} for row in result.history)
 
 
 def test_select_all_fit_ignores_non_train_labels():
