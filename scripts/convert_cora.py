@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Directional (non-gating) run on the public Cora citation dataset.
+"""Convert the public Cora citation dataset to a graphdenoise graph.json.
 
 Expects the classic two-file layout:
 
@@ -8,8 +8,8 @@ Expects the classic two-file layout:
       cora.cites     (cited_id <tab> citing_id)
 
 Paper ids are arbitrary strings, so they are remapped to dense 0-based ids;
-the mapping is written next to the outputs. Results on Cora depend on split
-choices and training variance; this script is a smoke reference, not a gate.
+the mapping is written to id_map.json next to graph.json. Train and score
+on the result with the graphdenoise CLI (README, "Cora").
 """
 
 import argparse
@@ -21,10 +21,7 @@ import numpy as np
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from graphdenoise import trainer  # noqa: E402
 from graphdenoise.graph import build_graph, save_graph_json  # noqa: E402
-from graphdenoise.policy import PPOConfig  # noqa: E402
-from graphdenoise.trainer import TrainConfig  # noqa: E402
 
 
 def load_cora(cora_dir):
@@ -59,16 +56,11 @@ def load_cora(cora_dir):
     return build_graph(len(ids), edges, np.array(rows), labels, split_seed=0), id_map, classes
 
 
-def main():
+def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--cora-dir", required=True)
-    ap.add_argument("--out-dir", default="cora_run")
-    ap.add_argument("--iters", type=int, default=10)
-    ap.add_argument("--rep-epochs", type=int, default=80)
-    ap.add_argument("--embed-dim", type=int, default=128)
-    ap.add_argument("--gamma", type=float, default=0.95)
-    ap.add_argument("--seed", type=int, default=0)
-    args = ap.parse_args()
+    ap.add_argument("--cora-dir", required=True, help="directory of cora.content and cora.cites")
+    ap.add_argument("--out-dir", default="cora_run", help="directory for graph.json and id_map.json")
+    args = ap.parse_args(argv)
 
     g, id_map, classes = load_cora(args.cora_dir)
     print(f"loaded cora: {g.num_nodes} nodes, {g.num_edges} edges, "
@@ -79,20 +71,7 @@ def main():
     with open(os.path.join(args.out_dir, "id_map.json"), "w", encoding="utf-8") as fh:
         json.dump({"nodes": id_map, "classes": classes}, fh)
 
-    cfg = TrainConfig(outer_iters=args.iters, rep_epochs=args.rep_epochs,
-                      embed_dim=args.embed_dim,
-                      ppo=PPOConfig(gamma=args.gamma), seed=args.seed)
-    result = trainer.train(g, cfg)
-    test_f1 = trainer.evaluate(result.policy, result.agg, result.clf, g, "test")
-    base_cfg = TrainConfig(outer_iters=args.iters, rep_epochs=args.rep_epochs,
-                           embed_dim=args.embed_dim, select_all=True, seed=args.seed)
-    base = trainer.train(g, base_cfg)
-    base_f1 = trainer.evaluate(base.policy, base.agg, base.clf, g, "test", selection="all")
-    trainer.save_checkpoint(os.path.join(args.out_dir, "checkpoint.json"),
-                            result.policy, result.agg, result.clf, cfg.to_dict())
-    trainer.write_metrics(os.path.join(args.out_dir, "metrics.jsonl"), result.history)
-    print(f"test micro-F1: policy-selected {test_f1:.4f}, keep-all baseline {base_f1:.4f}")
-    print("directional numbers only; expect run-to-run variance")
+    print(f"wrote graph.json and id_map.json to {args.out_dir}")
 
 
 if __name__ == "__main__":

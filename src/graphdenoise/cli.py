@@ -1,13 +1,16 @@
 """Command-line entry point: synth | noise | train | eval | denoise | report |
 check-submodular.
 
-Every subcommand takes --seed and --out-dir; train also takes --config (a
-JSON file of training-config overrides). Each train flag sets one config
-field and is parsed only when given, so one merge lays the flags over the
-file and TrainConfig.from_dict validates the result once: built-in defaults
-< config file < explicit flags, and a key that names no config field is a
-validation error. All outputs are deterministic given the seed. Exit codes:
-0 success, 1 validation error, 2 runtime failure.
+Every subcommand takes --out-dir. The ones that draw randomness (synth,
+noise, train, check-submodular) take --seed; the greedy decodes (eval,
+denoise, report) draw nothing, and their --selection defaults to all for a
+select_all checkpoint, else policy. train also takes --config (a JSON file of
+training-config overrides). Each train flag sets one config field and is
+parsed only when given, so one merge lays the flags over the file and
+TrainConfig.from_dict validates the result once: built-in defaults < config
+file < explicit flags, and a key that names no config field is a validation
+error. All outputs are deterministic given the seed. Exit codes: 0 success,
+1 validation error, 2 runtime failure.
 """
 
 from __future__ import annotations
@@ -58,7 +61,7 @@ def build_parser():
         p = sub.add_parser(name, help=help_text,
                            formatter_class=argparse.ArgumentDefaultsHelpFormatter)
         p.set_defaults(func=handler)
-        if name != "train":  # train's seed is a config field, in _TRAIN_FLAGS
+        if name in ("synth", "noise", "check-submodular"):  # train's is in _TRAIN_FLAGS
             p.add_argument("--seed", type=int, default=0, help="root random seed")
         p.add_argument("--out-dir", default=".", help="directory for output artifacts")
         return p
@@ -95,7 +98,8 @@ def build_parser():
         if name == "eval":
             p.add_argument("--mask", choices=["val", "test"], default="test",
                            help="which mask to score")
-        p.add_argument("--selection", choices=trainer.SELECTION_MODES, default="policy")
+        p.add_argument("--selection", choices=trainer.SELECTION_MODES, default=argparse.SUPPRESS,
+                       help="default: all for a --select-all checkpoint, else policy")
 
     p = add_parser("check-submodular", cmd_check_submodular, "run the reward-property suites")
     p.add_argument("--trials", type=int, default=1000, help="randomized trials per property")
@@ -109,14 +113,19 @@ def _load_graph(args):
 
 
 def _load_graph_and_model(args):
-    """The graph and the checkpoint's policy, aggregator and classifier; a
-    checkpoint of another feature width than the graph's is a ValueError."""
+    """The graph, the checkpoint's policy, aggregator and classifier, and the
+    selection mode; a checkpoint of another feature width than the graph's is
+    a ValueError."""
     g = _load_graph(args)
-    policy, agg, clf, _ = trainer.load_checkpoint(args.checkpoint)
+    policy, agg, clf, config = trainer.load_checkpoint(args.checkpoint)
     if agg.feature_dim != g.feature_dim:
         raise ValueError(f"checkpoint expects {agg.feature_dim} features per node, "
                          f"graph has {g.feature_dim}")
-    return g, policy, agg, clf
+    select_all = config.get("select_all", False)
+    if not isinstance(select_all, bool):
+        raise ValueError(f"checkpoint config select_all must be true or false, got {select_all!r}")
+    trained = "all" if select_all else "policy"
+    return g, policy, agg, clf, vars(args).get("selection", trained)  # absent unless given
 
 
 def _build_config(args):
@@ -128,7 +137,7 @@ def _build_config(args):
     for _, owner, name, _, _ in _TRAIN_FLAGS:
         if name in given:
             target = overrides if owner is TrainConfig else overrides.setdefault("ppo", {})
-            if isinstance(target, dict):  # from_dict names a ppo that is no object
+            if isinstance(target, dict):  # TrainConfig names a ppo that is no object
                 target[name] = given[name]
     return TrainConfig.from_dict(overrides)
 
@@ -174,26 +183,26 @@ def cmd_train(args):
 
 
 def cmd_eval(args):
-    g, policy, agg, clf = _load_graph_and_model(args)
-    score = trainer.evaluate(policy, agg, clf, g, args.mask, args.selection)
+    g, policy, agg, clf, selection = _load_graph_and_model(args)
+    score = trainer.evaluate(policy, agg, clf, g, args.mask, selection)
     out = os.path.join(args.out_dir, "eval.json")
-    write_json(out, {"mask": args.mask, "selection": args.selection, "micro_f1": score})
+    write_json(out, {"mask": args.mask, "selection": selection, "micro_f1": score})
     print(f"{args.mask} micro_f1 {score}")
     return 0
 
 
 def cmd_denoise(args):
-    g, policy, agg, _ = _load_graph_and_model(args)
+    g, policy, agg, _, selection = _load_graph_and_model(args)
     edges_out = os.path.join(args.out_dir, "denoised_edges.txt")
-    denoised = trainer.export_denoised_graph(policy, agg, g, edges_out, args.selection)
+    denoised = trainer.export_denoised_graph(policy, agg, g, edges_out, selection)
     save_graph_json(denoised, os.path.join(args.out_dir, "denoised_graph.json"))
     print(f"kept {denoised.num_edges} of {g.num_edges} edges")
     return 0
 
 
 def cmd_report(args):
-    g, policy, agg, _ = _load_graph_and_model(args)
-    report = trainer.selection_report(policy, agg, g, args.selection)
+    g, policy, agg, _, selection = _load_graph_and_model(args)
+    report = trainer.selection_report(policy, agg, g, selection)
     out = os.path.join(args.out_dir, "selection_report.json")
     write_json(out, {"nodes": report.node_ids.tolist(), "fractions": report.fractions.tolist(),
                      "histogram": report.histogram.tolist()})
@@ -237,14 +246,14 @@ def run(argv):
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:
-        if vars(args).get("seed", 0) < 0:  # train's is absent unless given
+        if vars(args).get("seed", 0) < 0:  # absent for a decode, and for train unless given
             raise ValueError(f"--seed must be >= 0, got {args.seed}")
         os.makedirs(args.out_dir, exist_ok=True)
         return args.func(args)
     except (ValueError, FileNotFoundError) as exc:  # a GraphError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except Exception as exc:  # pragma: no cover - defensive
+    except Exception as exc:
         print(f"runtime failure: {exc}", file=sys.stderr)
         return 2
 

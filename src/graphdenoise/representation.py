@@ -78,11 +78,13 @@ def f_c_score(clf, agg, x_v, x_u, true_label):
 
 
 def micro_f1(predictions, labels):
-    """Micro-averaged F1 from global TP/FP/FN counts.
+    """Micro-averaged F1 from global TP/FP/FN counts, returned as tp / n.
 
     With one label per sample every miss is one false positive (for the
-    predicted class) and one false negative (for the true class), so this
-    equals plain accuracy.
+    predicted class) and one false negative (for the true class), so
+    precision, recall and F1 all equal plain accuracy. One division keeps
+    the exact quotient (32 of 40 is 0.8); the float 2pr / (p + r) would
+    round it to 0.8000000000000002.
     """
     predictions = np.asarray(predictions, dtype=np.int64)
     labels = np.asarray(labels, dtype=np.int64)
@@ -90,11 +92,7 @@ def micro_f1(predictions, labels):
         raise ValueError("predictions and labels must be equal-length 1-d arrays")
     if predictions.size == 0:
         raise ValueError("micro_f1 needs at least one sample")
-    tp = int(np.sum(predictions == labels))
-    if tp == 0:
-        return 0.0
-    p = tp / predictions.size  # precision = recall: tp + fp = tp + fn = n
-    return 2.0 * p * p / (p + p)
+    return int(np.sum(predictions == labels)) / predictions.size
 
 
 def prediction_loss_grads(agg, clf, means, labels):

@@ -50,6 +50,9 @@ class TrainConfig:
 
     def __post_init__(self):
         policy_mod.check_field_types(self)
+        if not isinstance(self.ppo, PPOConfig):
+            raise ValueError(f"ppo must be a PPOConfig (an object in a config file), "
+                             f"got {type(self.ppo).__name__}")
         if self.fc_mode != "soft":  # the only task score; kept so saved configs still load
             raise ValueError(f"fc_mode must be 'soft', got {self.fc_mode!r}")
         for name, low in (("outer_iters", 0), ("rep_lr", 0), ("rep_epochs", 1), ("batch_size", 1),
@@ -80,8 +83,6 @@ class TrainConfig:
             unknown += [f"ppo.{k}" for k in sorted(set(ppo) - ppo_fields)]
         if unknown:
             raise ValueError(f"unknown config keys: {', '.join(unknown)}")
-        if "ppo" in d and not isinstance(ppo, (dict, PPOConfig)):
-            raise ValueError(f"config key ppo must be an object, got {type(ppo).__name__}")
         if isinstance(ppo, dict):
             d["ppo"] = PPOConfig(**ppo)
         return cls(**d)

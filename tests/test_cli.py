@@ -1,11 +1,13 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from graphdenoise import trainer
+from graphdenoise import cli, trainer
 from graphdenoise.cli import build_parser, run
 from graphdenoise.graph import build_graph, load_graph, save_graph_json
 from graphdenoise.policy import PPOConfig
@@ -54,6 +56,26 @@ def test_help_exits_zero():
     assert run(["--help"]) == 0
     for command in ("synth", "noise", "train", "eval", "denoise", "report", "check-submodular"):
         assert run([command, "--help"]) == 0, command
+
+
+def test_module_entry_point_exits_zero():
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    done = subprocess.run([sys.executable, "-m", "graphdenoise.cli", "--help"], env=env,
+                          capture_output=True, text=True, check=False)
+    assert done.returncode == 0
+    assert "usage: graphdenoise" in done.stdout
+
+
+def test_an_exception_that_is_no_validation_error_is_a_runtime_failure(tmp_path, capsys,
+                                                                        monkeypatch):
+    def fail(*args):
+        raise RuntimeError("out of luck")
+
+    monkeypatch.setattr(cli, "generate_planted_partition", fail)
+    assert run(synth_args(tmp_path)) == 2
+    assert "runtime failure: out of luck" in capsys.readouterr().err
 
 
 def test_train_help_names_each_config_default(capsys):
@@ -219,7 +241,7 @@ def test_explicit_flags_win_over_config_file_values(tmp_path, file_values, flags
 
 
 @pytest.mark.parametrize("file_values, named", [
-    ({"ppo": 3}, "config key ppo must be an object, got int"),
+    ({"ppo": 3}, "ppo must be a PPOConfig (an object in a config file), got int"),
     ({"ppo": {"bogus": 1}}, "unknown config keys: ppo.bogus"),
 ], ids=["ppo-not-object", "ppo-unknown-key"])
 def test_ppo_flag_never_merges_into_a_bad_ppo_value(tmp_path, capsys, file_values, named):
@@ -358,6 +380,9 @@ def test_config_shape_is_validation_error(tmp_path, capsys, overrides, named):
     ({"masks": {"train": [False] * 3, "val": [False] * 3, "test": [0.5, 0, 0]}},
      "test mask must hold booleans, got 0.5"),
     ({"features": [[float("nan")], [0.0], [1.0]]}, "non-finite feature values"),
+    ({"labels": [0, -1, 1]}, "labels must be non-negative class ids"),
+    ({"masks": {"train": [True, False], "val": [False, False], "test": [False, True]}},
+     "train_mask must be a boolean vector of length 3"),
 ])
 def test_malformed_graph_json_is_validation_error(tmp_path, capsys, change, named):
     blob = {"n": 3, "edges": [[0, 1], [1, 2]], "features": [[1.0], [0.0], [1.0]],
@@ -485,9 +510,11 @@ def _matrix(name, rows, cols):
      "checkpoint array agg.W has shape (16,), not a matrix"),
     (_edit(lambda blob: blob["arrays"]["agg.W"]["data"].__setitem__(0, float("nan"))),
      "array 'agg.W' contains non-finite values"),
+    (_edit(lambda blob: blob["extra"]["config"].update(select_all="true")),
+     "checkpoint config select_all must be true or false, got 'true'"),
 ], ids=["no-arrays", "no-agg", "no-clf", "no-policy", "tanh", "config-tanh",
         "clf-width", "policy-width", "not-object", "extra-list", "config-list", "no-data",
-        "truncated", "past-float64", "vector", "nan"])
+        "truncated", "past-float64", "vector", "nan", "select-all-string"])
 def test_malformed_checkpoint_is_validation_error(tmp_path, capsys, change, named):
     graph, ckpt = _init_checkpoint(tmp_path, "g", classes=2, dim=6)
     changed = change(json.loads(ckpt.read_text()))  # a str is written as it is
@@ -524,6 +551,34 @@ def test_malformed_checkpoint_array_is_validation_error(tmp_path, capsys, change
     err = capsys.readouterr().err
     assert "checkpoint array 'agg.W' needs a shape of non-negative integers" in err
     assert named in err
+
+
+def test_decode_selection_defaults_to_how_the_checkpoint_was_trained(tmp_path):
+    assert run(synth_args(tmp_path)) == 0
+    graph_arg = ["--graph", str(tmp_path / "graph.json")]
+    outputs = {"eval": ["eval.json"], "denoise": ["denoised_edges.txt", "denoised_graph.json"],
+               "report": ["selection_report.json"]}
+    for name, extra, trained in (("run", [], "policy"), ("base", ["--select-all"], "all")):
+        ckpt = ["--checkpoint", str(_train(tmp_path, name, extra=extra) / "checkpoint.json")]
+        default, given = tmp_path / name / "default", tmp_path / name / "given"
+        for command, artifacts in outputs.items():
+            assert run([command, *graph_arg, *ckpt, "--out-dir", str(default)]) == 0
+            assert run([command, *graph_arg, *ckpt, "--selection", trained,
+                        "--out-dir", str(given)]) == 0
+            for artifact in artifacts:
+                assert read(default / artifact) == read(given / artifact), (name, artifact)
+        assert json.loads((default / "eval.json").read_text())["selection"] == trained
+
+
+@pytest.mark.parametrize("command", ["eval", "denoise", "report"])
+def test_decode_commands_take_no_seed(tmp_path, capsys, command):
+    # the greedy decode draws nothing, so a seed would change no byte
+    graph, ckpt = _init_checkpoint(tmp_path, "g", classes=2, dim=6)
+    capsys.readouterr()
+    assert run([command, "--graph", str(graph), "--checkpoint", str(ckpt), "--seed", "1",
+                "--out-dir", str(tmp_path / "out")]) == 1
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_config_is_a_train_only_option():

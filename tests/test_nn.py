@@ -272,6 +272,19 @@ def test_adam_shape_mismatch_rejected():
     state = nn.adam_init(params, lr=1e-3)
     with pytest.raises(ValueError):
         nn.adam_step(state, params, [np.zeros((3, 2))])
+    with pytest.raises(ValueError, match="parameter/gradient/state length mismatch"):
+        nn.adam_step(state, params, [np.zeros((2, 2))] * 2)
+
+
+@pytest.mark.parametrize("make, named", [
+    (lambda: nn.MlpParams([]), "needs at least one weight matrix"),
+    (lambda: nn.MlpParams([np.zeros((3, 4)), np.zeros((2, 5))]),
+     "incompatible layer shapes (3, 4) -> (2, 5)"),
+    (lambda: nn.init_mlp([4], np.random.default_rng(0)), "need at least an input and an output"),
+], ids=["empty", "unchained", "one-size"])
+def test_bad_stacks_are_named(make, named):
+    with pytest.raises(ValueError, match=re.escape(named)):
+        make()
 
 
 def test_checkpoint_round_trip_is_exact(tmp_path):

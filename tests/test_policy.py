@@ -180,6 +180,11 @@ def test_ppo_zero_learning_rate_is_identity():
         assert np.array_equal(a, b)
 
 
+def test_policy_stack_must_end_in_one_scalar():
+    with pytest.raises(ValueError, match="policy stack must end in a single scalar"):
+        PolicyParams(nn.init_mlp([6, 4, 2], np.random.default_rng(0)))
+
+
 def test_ppo_empty_batch_rejected():
     policy = make_policy()
     with pytest.raises(ValueError):

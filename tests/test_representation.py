@@ -1,5 +1,6 @@
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -162,7 +163,8 @@ def test_micro_f1_equals_accuracy_for_single_label():
 
 
 def per_class_micro_f1(predictions, labels):
-    """Reference micro-F1 that sums TP/FP/FN class by class."""
+    """Reference micro-F1 that sums TP/FP/FN class by class, in exact
+    rationals rounded once to the nearest float."""
     tp = fp = fn = 0
     for c in np.union1d(predictions, labels):
         tp += int(np.sum((predictions == c) & (labels == c)))
@@ -170,9 +172,9 @@ def per_class_micro_f1(predictions, labels):
         fn += int(np.sum((predictions != c) & (labels == c)))
     if tp == 0:
         return 0.0
-    precision = tp / (tp + fp)
-    recall = tp / (tp + fn)
-    return 2.0 * precision * recall / (precision + recall)
+    precision = Fraction(tp, tp + fp)
+    recall = Fraction(tp, tp + fn)
+    return float(2 * precision * recall / (precision + recall))
 
 
 def test_micro_f1_equals_per_class_reference_bit_for_bit():
@@ -182,6 +184,14 @@ def test_micro_f1_equals_per_class_reference_bit_for_bit():
         preds = rng.integers(0, classes, size=n)
         labels = rng.integers(0, classes, size=n)
         assert rep.micro_f1(preds, labels) == per_class_micro_f1(preds, labels)
+
+
+@pytest.mark.parametrize("hits, n, expected", [(32, 40, 0.8), (38, 40, 0.95), (0, 3, 0.0)])
+def test_micro_f1_is_the_exact_quotient(hits, n, expected):
+    # the float 2pr / (p + r) reads 0.8000000000000002 and 0.9500000000000001 here
+    labels = np.zeros(n, dtype=np.int64)
+    predictions = np.where(np.arange(n) < hits, 0, 1)
+    assert rep.micro_f1(predictions, labels) == expected
 
 
 def test_micro_f1_rejects_empty_and_mismatched():

@@ -72,6 +72,19 @@ def test_greedy_empty_ground_rejected():
         greedy_maximize(LambdaSetFunction([], lambda s: 0.0, k_max=1))
 
 
+@pytest.mark.parametrize("make, named", [
+    (lambda: LambdaSetFunction([1, 2, 1], len, k_max=1), "ground set contains duplicates"),
+    (lambda: LambdaSetFunction([1, 2], len, k_max=0), "cardinality cap must be >= 1, got 0"),
+    (lambda: check_monotone(modular({1: 1.0}, 1), 0, np.random.default_rng(0)),
+     "trials must be >= 1"),
+    (lambda: check_submodular(modular({1: 1.0}, 1), 0, np.random.default_rng(0)),
+     "trials must be >= 1"),
+], ids=["duplicate-ground", "cap-0", "monotone-trials-0", "submodular-trials-0"])
+def test_bad_set_functions_and_trial_counts_are_named(make, named):
+    with pytest.raises(ValueError, match=named):
+        make()
+
+
 def test_brute_force_single_item_cases():
     gains = LambdaSetFunction([4], lambda s: float(len(s)), k_max=1)
     subset, value = brute_force_optimal(gains)

@@ -19,6 +19,7 @@ from graphdenoise import representation as rep
 from graphdenoise import trainer
 from graphdenoise.graph import build_graph, generate_planted_partition, load_graph
 from graphdenoise.policy import PPOConfig
+from graphdenoise.seeding import spawn_rng
 from graphdenoise.trainer import TrainConfig
 
 
@@ -76,6 +77,11 @@ def test_train_is_deterministic_given_seed():
     b = trainer.train(g, small_config(seed=5))
     assert params_equal(a, b)
     assert a.history == b.history
+
+
+def test_spawn_rng_rejects_a_negative_key():
+    with pytest.raises(ValueError, match=re.escape("stream key must be non-negative, got (3, -1)")):
+        spawn_rng(0, 3, -1)
 
 
 def test_best_validation_checkpoint_is_returned():
@@ -218,6 +224,17 @@ def test_evaluate_rejects_bad_node_ids(selection, ids, named):
         trainer.evaluate(policy, agg, clf, g, np.array(ids), selection)
 
 
+@pytest.mark.parametrize("mask, selection, named", [
+    ("train", "policy", "mask must be 'val' or 'test', got 'train'"),
+    ("test", "some", "selection must be one of ('policy', 'all', 'none')"),
+], ids=["mask", "selection"])
+def test_evaluate_rejects_bad_mask_or_selection(mask, selection, named):
+    g = small_graph(seed=13)
+    policy, agg, clf = trainer.init_params(g, small_config(seed=13))
+    with pytest.raises(ValueError, match=re.escape(named)):
+        trainer.evaluate(policy, agg, clf, g, mask, selection)
+
+
 @pytest.mark.parametrize("call", ["evaluate-policy", "evaluate-all", "evaluate-none",
                                   "report-policy", "export-policy"])
 def test_feature_width_mismatch_names_both_widths(call, tmp_path):
@@ -355,6 +372,8 @@ def test_config_validation():
     (TrainConfig, "seed", -1),
     (PPOConfig, "minibatch_size", "a"),
     (PPOConfig, "gamma", True),
+    (TrainConfig, "ppo", {"gamma": 0.9}),  # from_dict converts a dict; the class does not
+    (TrainConfig, "ppo", None),
 ])
 def test_config_value_types_are_named(cls, field, value):
     with pytest.raises(ValueError, match=field):
