@@ -45,10 +45,7 @@ _TRAIN_FLAGS = (
 
 
 def _add_graph_input(p):
-    p.add_argument("--graph", required=True, help="graph file (json or edge list)")
-    p.add_argument("--format", choices=["json", "edge-list+features"], default="json")
-    p.add_argument("--features", default=None, help="feature file for edge-list format")
-    p.add_argument("--labels", default=None, help="label file for edge-list format")
+    p.add_argument("--graph", required=True, help="graph json file")
 
 
 def build_parser():
@@ -107,16 +104,11 @@ def build_parser():
     return parser
 
 
-def _load_graph(args):
-    return load_graph(args.graph, fmt=args.format,
-                      features_path=args.features, labels_path=args.labels)
-
-
 def _load_graph_and_model(args):
     """The graph, the checkpoint's policy, aggregator and classifier, and the
     selection mode; a checkpoint of another feature width than the graph's is
     a ValueError."""
-    g = _load_graph(args)
+    g = load_graph(args.graph)
     policy, agg, clf, config = trainer.load_checkpoint(args.checkpoint)
     if agg.feature_dim != g.feature_dim:
         raise ValueError(f"checkpoint expects {agg.feature_dim} features per node, "
@@ -153,7 +145,7 @@ def cmd_synth(args):
 
 
 def cmd_noise(args):
-    g = _load_graph(args)
+    g = load_graph(args.graph)
     spec = NoiseSpec(edge_noise_rate=args.edge_noise,
                      feature_corrupt_rate=args.feature_noise, seed=args.seed)
     before = g.num_edges
@@ -166,7 +158,7 @@ def cmd_noise(args):
 
 
 def cmd_train(args):
-    g = _load_graph(args)
+    g = load_graph(args.graph)
     cfg = _build_config(args)
     result = trainer.train(g, cfg)
     ckpt = os.path.join(args.out_dir, "checkpoint.json")
@@ -250,7 +242,10 @@ def run(argv):
             raise ValueError(f"--seed must be >= 0, got {args.seed}")
         os.makedirs(args.out_dir, exist_ok=True)
         return args.func(args)
-    except (ValueError, FileNotFoundError) as exc:  # a GraphError is a ValueError
+    # a GraphError is a ValueError; of the OSErrors only a bad path (a missing file, a
+    # directory for a file or the reverse) is the user's, a full disk stays a runtime failure
+    except (ValueError, FileNotFoundError, IsADirectoryError, NotADirectoryError,
+            FileExistsError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:

@@ -1,4 +1,4 @@
-"""Graph container plus loaders, a planted-partition generator, and noise injectors.
+"""Graph container plus its JSON load and save, a planted-partition generator, and noise injectors.
 
 Graphs are undirected, unweighted, with dense 0-based node ids, per-node
 feature rows, integer class labels, and disjoint train/val/test masks.
@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import numbers
-import warnings
 from dataclasses import dataclass
 from itertools import chain
 
@@ -228,58 +227,25 @@ class NoiseSpec:
 # ---------------------------------------------------------------------------
 # loading / saving
 
-def load_graph(path, fmt="json", features_path=None, labels_path=None):
-    """Load a graph from disk; one without masks gets build_graph's seed-0 split.
-
-    fmt="json": single file with keys n, edges, features, labels and
-    optional masks. fmt="edge-list+features": whitespace edge pairs in
-    `path`, tab-separated feature rows in `features_path`, one integer label
-    per line in `labels_path`; node count is the number of feature rows.
-    """
-    if fmt == "json":
-        try:
-            blob = read_json(path)
-        except ValueError as exc:
-            raise GraphError(str(exc)) from exc
-        if not isinstance(blob, dict):
-            raise GraphError(f"{path}: graph json must hold an object, got {type(blob).__name__}")
-        for key in ("n", "edges", "labels"):
-            if key not in blob:
-                raise GraphError(f"graph json missing key {key!r}")
-        features = blob.get("features")
-        if features is None:
-            # attribute-free graph: fall back to one-hot identity features
-            features = np.eye(_node_count(blob["n"]))
-        return build_graph(blob["n"], blob["edges"], features, blob["labels"],
-                           masks=blob.get("masks"))
-    if fmt == "edge-list+features":
-        if labels_path is None:
-            raise GraphError("edge-list format needs labels_path")
-        labels = _read_table(labels_path, np.int64)
-        if labels.shape[1] != 1:
-            raise GraphError(f"{labels_path}: expected one integer label per line")
-        labels = labels[:, 0]
-        if features_path is None:
-            features = np.eye(len(labels))
-        else:
-            features = _read_table(features_path, np.float64, delimiter="\t")
-            if len(features) != len(labels) or not len(features):
-                raise GraphError(f"{features_path}: {len(features)} feature rows "
-                                 f"but {len(labels)} labels")
-        edges = _read_table(path, np.int64, usecols=(0, 1))
-        return build_graph(len(labels), edges, features, labels)
-    raise GraphError(f"unknown graph format {fmt!r}")
-
-
-def _read_table(path, dtype, **kwargs):
-    """Rows of a text table as a 2-D array, skipping blank lines; an empty file has no rows."""
-    with open(path, "r", encoding="utf-8") as fh, warnings.catch_warnings():
-        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-        try:
-            return np.loadtxt((line for line in fh if line.strip()), dtype=dtype,
-                              comments=None, ndmin=2, **kwargs)
-        except ValueError as exc:
-            raise GraphError(f"cannot parse {path}: {exc}") from exc
+def load_graph(path):
+    """Load a graph JSON: an object with keys n, edges, features, labels and
+    optional masks. A graph without masks gets build_graph's seed-0 split; one
+    without features gets one-hot identity features."""
+    try:
+        blob = read_json(path)
+    except ValueError as exc:
+        raise GraphError(str(exc)) from exc
+    if not isinstance(blob, dict):
+        raise GraphError(f"{path}: graph json must hold an object, got {type(blob).__name__}")
+    for key in ("n", "edges", "labels"):
+        if key not in blob:
+            raise GraphError(f"graph json missing key {key!r}")
+    features = blob.get("features")
+    if features is None:
+        # attribute-free graph: fall back to one-hot identity features
+        features = np.eye(_node_count(blob["n"]))
+    return build_graph(blob["n"], blob["edges"], features, blob["labels"],
+                       masks=blob.get("masks"))
 
 
 def save_graph_json(g, path):

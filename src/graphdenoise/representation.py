@@ -151,9 +151,6 @@ def train_representation(agg, clf, means, labels, epochs, batch_size, lr, rng):
         raise ValueError(f"label {outside[0]} outside [0, {clf.num_classes})")
 
     agg, clf = AggregatorParams(agg.W), ClassifierParams(clf.V)
-    if epochs <= 0:
-        return agg, clf, []
-
     opt = nn.adam_init([agg.W, clf.V], lr=lr)
     history = []
     with np.errstate(over="ignore"):  # an overflowed g * g is named just below

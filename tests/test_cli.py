@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import json
 import os
@@ -93,9 +94,32 @@ def test_train_help_names_each_config_default(capsys):
         assert entry.endswith(f"(config default {getattr(owner, field)})"), entry
 
 
-def test_missing_graph_file_is_validation_error(tmp_path):
-    assert run(["train", "--graph", str(tmp_path / "nope.json"),
-                "--out-dir", str(tmp_path)]) == 1
+@pytest.mark.parametrize("argv", [
+    ["train", "--graph", "{tmp}/nope.json"],
+    ["train", "--graph", "{tmp}"],
+    ["train", "--graph", "{tmp}/graph.json/g.json"],
+    ["train", "--graph", "{tmp}/graph.json", "--config", "{tmp}"],
+    ["eval", "--graph", "{tmp}/graph.json", "--checkpoint", "{tmp}"],
+    ["synth", "--out-dir", "{tmp}/graph.json"],
+], ids=["missing-graph", "graph-dir", "graph-under-file", "config-dir", "checkpoint-dir",
+        "out-dir-file"])
+def test_bad_path_is_validation_error(tmp_path, capsys, argv):
+    # a missing file, a directory for a file or a file for a directory
+    assert run(synth_args(tmp_path)) == 0
+    capsys.readouterr()
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    out_dir = [] if "--out-dir" in argv else ["--out-dir", str(tmp_path / "out")]
+    assert run(argv + out_dir) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_an_io_failure_that_is_no_bad_path_is_a_runtime_failure(tmp_path, capsys, monkeypatch):
+    def full_disk(*args):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(cli, "save_graph_json", full_disk)
+    assert run(synth_args(tmp_path)) == 2
+    assert capsys.readouterr().err.startswith("runtime failure: ")
 
 
 def test_noise_command_adds_edges(tmp_path):
@@ -581,6 +605,29 @@ def test_decode_commands_take_no_seed(tmp_path, capsys, command):
     assert not (tmp_path / "out").exists()
 
 
+# every option of each subcommand: adding or removing one is an edit here
+CLI_OPTIONS = {
+    "synth": ["--seed", "--out-dir", "--n", "--classes", "--p-in", "--p-out", "--dim",
+              "--strength"],
+    "noise": ["--seed", "--out-dir", "--graph", "--edge-noise", "--feature-noise",
+              "--corrupt-mode"],
+    "train": ["--out-dir", "--graph", "--iters", "--rep-epochs", "--gamma", "--delta",
+              "--batch-size", "--embed-dim", "--select-all", "--seed", "--config"],
+    "eval": ["--out-dir", "--graph", "--checkpoint", "--mask", "--selection"],
+    "denoise": ["--out-dir", "--graph", "--checkpoint", "--selection"],
+    "report": ["--out-dir", "--graph", "--checkpoint", "--selection"],
+    "check-submodular": ["--seed", "--out-dir", "--trials", "--graph"],
+}
+
+
+def test_cli_option_surface_is_pinned():
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    found = {name: [opt for action in p._actions for opt in action.option_strings
+                    if opt not in ("-h", "--help")]
+             for name, p in sub.choices.items()}
+    assert found == CLI_OPTIONS
+
+
 def test_config_is_a_train_only_option():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["eval", "--graph", "g.json", "--checkpoint", "c.json",
@@ -611,19 +658,6 @@ def test_check_submodular_deterministic(tmp_path):
         assert run(["check-submodular", "--trials", "50", "--seed", "4",
                     "--out-dir", str(out)]) == 0
     assert read(a / "submodular_report.json") == read(b / "submodular_report.json")
-
-
-def test_edge_list_format_via_cli(tmp_path):
-    (tmp_path / "edges.txt").write_text("0 1\n1 2\n")
-    (tmp_path / "feats.tsv").write_text("1.0\t0.0\n0.0\t1.0\n1.0\t1.0\n")
-    (tmp_path / "labels.txt").write_text("0\n1\n1\n")
-    out = tmp_path / "noise"
-    assert run(["noise", "--graph", str(tmp_path / "edges.txt"),
-                "--format", "edge-list+features",
-                "--features", str(tmp_path / "feats.tsv"),
-                "--labels", str(tmp_path / "labels.txt"),
-                "--edge-noise", "0.0", "--out-dir", str(out)]) == 0
-    assert load_graph(out / "graph.json").num_nodes == 3
 
 
 # sha256 of each artifact of a small seeded pipeline. A refactor that keeps

@@ -384,55 +384,11 @@ def test_json_without_features_gets_one_hot_identity(tmp_path):
     assert np.array_equal(g.features, np.eye(3))
 
 
-def test_edge_list_without_features_gets_one_hot_identity(tmp_path):
-    (tmp_path / "edges.txt").write_text("0 1\n")
-    (tmp_path / "labels.txt").write_text("0\n1\n0\n")
-    g = load_graph(tmp_path / "edges.txt", fmt="edge-list+features",
-                   labels_path=tmp_path / "labels.txt")
-    assert g.num_nodes == 3
-    assert np.array_equal(g.features, np.eye(3))
-
-
 def test_json_missing_key_rejected(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"n": 2, "edges": []}')
     with pytest.raises(GraphError):
         load_graph(path)
-
-
-def test_edge_list_format_loader(tmp_path):
-    (tmp_path / "edges.txt").write_text("0 1\n1 2\n")
-    (tmp_path / "feats.tsv").write_text("1.0\t0.0\n0.0\t1.0\n1.0\t1.0\n")
-    (tmp_path / "labels.txt").write_text("0\n1\n1\n")
-    g = load_graph(tmp_path / "edges.txt", fmt="edge-list+features",
-                   features_path=tmp_path / "feats.tsv",
-                   labels_path=tmp_path / "labels.txt")
-    assert g.num_nodes == 3 and g.num_edges == 2
-    assert g.feature_dim == 2
-
-
-def test_edge_list_loader_rejects_ragged_features(tmp_path):
-    (tmp_path / "edges.txt").write_text("0 1\n")
-    (tmp_path / "feats.tsv").write_text("1.0\t0.0\n0.0\n")
-    (tmp_path / "labels.txt").write_text("0\n1\n")
-    with pytest.raises(GraphError):
-        load_graph(tmp_path / "edges.txt", fmt="edge-list+features",
-                   features_path=tmp_path / "feats.tsv",
-                   labels_path=tmp_path / "labels.txt")
-
-
-@pytest.mark.parametrize("kwargs, named", [
-    ({"features_path": "feats.tsv"}, "edge-list format needs labels_path"),
-    ({"features_path": "feats.tsv", "labels_path": "labels.txt"}, "2 feature rows but 3 labels"),
-    ({"fmt": "csv", "labels_path": "labels.txt"}, "unknown graph format 'csv'"),
-], ids=["no-labels", "short-features", "unknown-format"])
-def test_load_graph_names_its_bad_arguments(tmp_path, kwargs, named):
-    (tmp_path / "edges.txt").write_text("0 1\n")
-    (tmp_path / "feats.tsv").write_text("1.0\t0.0\n0.0\t1.0\n")
-    (tmp_path / "labels.txt").write_text("0\n1\n1\n")
-    kwargs = {k: v if k == "fmt" else tmp_path / v for k, v in kwargs.items()}
-    with pytest.raises(GraphError, match=re.escape(named)):
-        load_graph(tmp_path / "edges.txt", **{"fmt": "edge-list+features", **kwargs})
 
 
 def test_empty_graph_json_round_trips_byte_for_byte(tmp_path):
@@ -505,32 +461,6 @@ def test_json_edge_rows_ignore_extra_columns(tmp_path):
     assert load_graph(path).edge_list() == [(0, 1)]
 
 
-def test_edge_list_parsing_rules(tmp_path):
-    (tmp_path / "labels.txt").write_text("0\n\n1\n1\n")
-    (tmp_path / "edges.txt").write_text("0 1 9.5 x\n\n1\t2\n")
-
-    def load(edges="edges.txt", labels="labels.txt"):
-        return load_graph(tmp_path / edges, fmt="edge-list+features",
-                          labels_path=tmp_path / labels)
-
-    assert load().edge_list() == [(0, 1), (1, 2)]  # blank line skipped, extra columns ignored
-    (tmp_path / "feats.tsv").write_text("1\t2\n \t \n3\t4\n5\t6\n")
-    g = load_graph(tmp_path / "edges.txt", fmt="edge-list+features",
-                   features_path=tmp_path / "feats.tsv", labels_path=tmp_path / "labels.txt")
-    assert g.features.tolist() == [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]
-    (tmp_path / "empty.txt").write_text("")
-    assert load("empty.txt").num_edges == 0
-    for name, text in (("hash.txt", "# comment\n0 1\n"), ("short.txt", "0\n"),
-                       ("float.txt", "0 1.0\n")):
-        (tmp_path / name).write_text(text)
-        with pytest.raises(GraphError, match=name):
-            load(name)
-    for name, text in (("l_float.txt", "0\n1.0\n1\n"), ("l_two.txt", "0 1\n")):
-        (tmp_path / name).write_text(text)
-        with pytest.raises(GraphError, match=name):
-            load(labels=name)
-
-
 @st.composite
 def edge_inputs(draw):
     """(n, edges, labels): duplicate, reversed and self-loop pairs, isolated nodes."""
@@ -563,17 +493,8 @@ def test_csr_layout_matches_set_reference(case):
     assert g.edge_list() == pairs
     assert g.edge_set() == set(pairs)
     assert g.num_edges == len(pairs)
-    if n == 0:
-        return  # an empty feature file is rejected, so there is no edge-list twin
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         save_graph_json(g, tmp / "a.json")
         save_graph_json(load_graph(tmp / "a.json"), tmp / "json.json")
-        write_edge_list(g, tmp / "edges.txt")
-        np.savetxt(tmp / "feats.tsv", g.features, fmt="%.17g", delimiter="\t")
-        np.savetxt(tmp / "labels.txt", g.labels, fmt="%d")
-        twin = load_graph(tmp / "edges.txt", fmt="edge-list+features",
-                          features_path=tmp / "feats.tsv", labels_path=tmp / "labels.txt")
-        save_graph_json(twin, tmp / "edge_list.json")
-        assert (tmp / "edge_list.json").read_bytes() == (tmp / "json.json").read_bytes()
         assert (tmp / "json.json").read_bytes() == (tmp / "a.json").read_bytes()
